@@ -2,13 +2,16 @@
 
 The bulk read layer (``PMemDevice.load_batch``/``gather_span``) rewrote
 the merge/rebalance gather->plan->write passes and the recovery
-scan/replay as whole-window NumPy operations.  The retained
-``scalar_readpath`` reference is result- and accounting-identical by
-contract, so the twin runs here first assert exact equivalence — same
-persistent bytes, same device counters, same modeled time — and only
-then pin the wall-clock speedup against the seed baseline.
+scan/replay as whole-window NumPy operations.  The scalar references in
+:mod:`repro.testing.reference` are result- and accounting-identical by
+contract; the scalar arm runs under their ``scalar_reference()`` seam.
+The twin runs here first assert the seam called each reference the arm
+needs and exact equivalence — same persistent bytes, same device
+counters, same modeled time — and only then pin the wall-clock speedup
+against the seed baseline.
 """
 
+import contextlib
 import json
 import pathlib
 import time
@@ -20,9 +23,20 @@ from repro import DGAP, DGAPConfig
 from repro.bench import emit, format_table
 from repro.bench.profile import build_rebalance_arm
 from repro.datasets import get_dataset
+from repro.testing.reference import scalar_reference
 
 BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "readpath_speed.json"
 TRIALS = 3
+
+
+def _arm(scalar: bool):
+    """The scalar arm runs under the reference seam; the other as shipped."""
+    return scalar_reference() if scalar else contextlib.nullcontext()
+
+
+def _assert_used(calls, names) -> None:
+    missing = [n for n in names if not calls[n]]
+    assert not missing, f"scalar arm never called {missing}: {dict(calls)}"
 
 
 def _assert_twin_equal(gs: DGAP, gv: DGAP) -> None:
@@ -42,9 +56,10 @@ def test_readpath_rebalance_speedup(benchmark, scale):
         pair = {}
         for _ in range(TRIALS):
             for scalar in (True, False):
-                g, wall = build_rebalance_arm(
-                    "orkut", scale, 512, scalar_readpath=scalar
-                )
+                with _arm(scalar) as calls:
+                    g, wall = build_rebalance_arm("orkut", scale, 512)
+                if scalar:
+                    _assert_used(calls, ("gather_scalar", "plan_scalar"))
                 best[scalar] = min(best[scalar], wall)
                 pair[scalar] = g
         _assert_twin_equal(pair[True], pair[False])
@@ -80,15 +95,18 @@ def test_readpath_recovery_speedup(benchmark, scale):
     nv, _ = spec.sizes(scale)
 
     def one(scalar: bool):
-        cfg = DGAPConfig(
-            init_vertices=nv, init_edges=edges.shape[0], scalar_readpath=scalar
-        )
-        g = DGAP(cfg)
-        g.insert_edges(edges, batch_size=512)
-        g.pool.crash()
-        t0 = time.perf_counter()
-        g2 = DGAP.open(g.pool, cfg)
-        return g2, time.perf_counter() - t0
+        cfg = DGAPConfig(init_vertices=nv, init_edges=edges.shape[0])
+        with _arm(scalar) as calls:
+            g = DGAP(cfg)
+            g.insert_edges(edges, batch_size=512)
+            g.pool.crash()
+            t0 = time.perf_counter()
+            g2 = DGAP.open(g.pool, cfg)
+            wall = time.perf_counter() - t0
+        if scalar:
+            _assert_used(calls, ("rebuild_counts_scalar", "scan_edge_array_scalar",
+                                 "replay_logs_scalar"))
+        return g2, wall
 
     def run():
         best = {True: float("inf"), False: float("inf")}

@@ -28,7 +28,6 @@ import numpy as np
 from conftest import run_once
 
 from repro import DGAP, DGAPConfig
-from repro.analysis.viewcache import DGAPViewCache
 from repro.bench import emit, format_table
 from repro.bench.reporting import distribution_stats
 from repro.datasets import get_dataset
@@ -61,8 +60,7 @@ def _ingest_modeled_ns(g, edges):
 
 
 def _assert_merged_identity(single, sharded):
-    with single.consistent_view() as snap:
-        ref_out, ref_in = DGAPViewCache(single).materialize(snap)
+    ref_out, ref_in = single.view_cache().materialize()
     mrg_out, mrg_in = sharded.global_csr()
     for name, a, b in (
         ("out_indptr", ref_out[0], mrg_out[0]),

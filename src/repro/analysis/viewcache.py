@@ -38,8 +38,8 @@ has), and kernels charge the same geometry-derived costs either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class ViewCacheStats:
 class DGAPViewCache:
     """Epoch-versioned (out, in) CSR cache for one :class:`~repro.core.dgap.DGAP`.
 
+    Made by ``DGAP.view_cache()``; :meth:`materialize`, :attr:`stats`,
+    :attr:`local_counts` and :meth:`epoch_key` are the interface it
+    shares with :class:`~repro.sharding.merge.ShardedViewCache`.
+
     ``id_stride`` / ``row_ids`` generalize the cache for sharded builds
     (:mod:`repro.sharding`): out-CSR row ``i`` carries the source id
     ``row_ids(nv)[i]`` in the in-CSR (ids must ascend, with
@@ -101,7 +105,7 @@ class DGAPViewCache:
 
     def __init__(self, graph, id_stride: int = 1, row_ids=None) -> None:
         self.graph = graph
-        self.stats = ViewCacheStats()
+        self._counters = ViewCacheStats()
         self.id_stride = int(id_stride)
         self.row_ids = row_ids
         self._out: Optional[CSRPair] = None
@@ -115,14 +119,34 @@ class DGAPViewCache:
             return np.arange(nv, dtype=ID_DTYPE)
         return np.asarray(self.row_ids(nv), dtype=ID_DTYPE)
 
-    # -- entry point -------------------------------------------------------
-    def materialize(self, snap, dst_nv: Optional[int] = None) -> Tuple[CSRPair, CSRPair]:
+    # -- interface shared with ShardedViewCache ----------------------------
+    @property
+    def stats(self) -> List[ViewCacheStats]:
+        """Per-shard counters: a single entry for an unsharded graph."""
+        return [self._counters]
+
+    @property
+    def local_counts(self) -> List[int]:
+        """Per-shard vertex count of the last materialization."""
+        return [self._nv]
+
+    def epoch_key(self) -> int:
+        """The graph's current structure epoch; equal keys, equal views."""
+        return int(self.graph.structure_epoch)
+
+    def materialize(self) -> Tuple[CSRPair, CSRPair]:
         """Current ``((out_indptr, out_dsts), (in_indptr, in_srcs))``.
 
-        ``snap`` must be an open :class:`DGAPSnapshot` of ``self.graph``
-        taken at the current structure epoch.  The returned arrays are
+        Opens its own snapshot of the graph.  The returned arrays are
         owned by the cache and shared with analysis views; they are
         never mutated afterwards (each refresh allocates new ones).
+        """
+        with self.graph.consistent_view() as snap:
+            return self.materialize_from(snap)
+
+    def materialize_from(self, snap, dst_nv: Optional[int] = None) -> Tuple[CSRPair, CSRPair]:
+        """:meth:`materialize` from an open snapshot at the current epoch.
+
         ``dst_nv`` widens the in-CSR destination domain (sharded builds
         pass the global vertex count); it must not shrink between calls.
         """
@@ -147,17 +171,17 @@ class DGAPViewCache:
                     out, inn = self._out, self._in
                     if dst_nv != self._dst_nv:
                         inn = (_extend_indptr(inn[0], dst_nv), inn[1])
-                    self.stats.incremental_builds += 1
-                    self.stats.rows_reused += nv
+                    self._counters.incremental_builds += 1
+                    self._counters.rows_reused += nv
                 elif n_stale >= FULL_REBUILD_STALE_FRACTION * nv:
                     annotate(mode="full")
                     out, inn = self._full_build(snap, nv, dst_nv)
                 else:
                     annotate(mode="incremental", stale_vertices=n_stale)
-                    self.stats.incremental_builds += 1
-                    self.stats.sections_rebuilt += int(np.count_nonzero(dirty))
-                    self.stats.vertices_rebuilt += n_stale
-                    self.stats.rows_reused += nv - n_stale
+                    self._counters.incremental_builds += 1
+                    self._counters.sections_rebuilt += int(np.count_nonzero(dirty))
+                    self._counters.vertices_rebuilt += n_stale
+                    self._counters.rows_reused += nv - n_stale
                     stale_vids = np.flatnonzero(stale)
                     out, s_counts, s_dsts = self._patch_out(snap, nv, stale, stale_vids)
                     inn = self._merge_in(
@@ -187,9 +211,9 @@ class DGAPViewCache:
 
     # -- out-CSR -----------------------------------------------------------
     def _full_build(self, snap, nv: int, dst_nv: int) -> Tuple[CSRPair, CSRPair]:
-        self.stats.full_rebuilds += 1
-        self.stats.sections_rebuilt += int(self.graph.ea.n_sections)
-        self.stats.vertices_rebuilt += nv
+        self._counters.full_rebuilds += 1
+        self._counters.sections_rebuilt += int(self.graph.ea.n_sections)
+        self._counters.vertices_rebuilt += nv
         out = snap.to_csr()
         inn = build_in_csr_from(out[0], out[1], self._row_ids(nv), dst_nv)
         return out, inn
@@ -240,7 +264,7 @@ class DGAPViewCache:
             keep = ~stale[prev_in_srcs // self.id_stride]
         ko_dst = old_dst[keep]
         ko_src = prev_in_srcs[keep]
-        self.stats.in_entries_dropped += int(prev_in_srcs.size - ko_src.size)
+        self._counters.in_entries_dropped += int(prev_in_srcs.size - ko_src.size)
 
         # Counting-sort the delta by destination: a stable integer
         # argsort over the delta only (NumPy radix-sorts ints) — never a
@@ -249,7 +273,7 @@ class DGAPViewCache:
         order = np.argsort(s_dsts, kind="stable")
         kd_dst = s_dsts[order].astype(np.int64)
         kd_src = delta_src[order]
-        self.stats.delta_edges_merged += int(kd_src.size)
+        self._counters.delta_edges_merged += int(kd_src.size)
 
         # Single merge pass on the (dst, src) key.  Sources are wholly
         # stale or wholly clean, so no key appears in both sides and the

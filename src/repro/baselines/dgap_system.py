@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..analysis import costs
 from ..analysis.view import BaseGraphView, CSRArraysView, StorageGeometry
-from ..analysis.viewcache import DGAPViewCache
 from ..config import DGAPConfig
 from ..core.batch import EdgeBatch
 from ..core.dgap import DGAP
@@ -44,7 +41,7 @@ class DGAPSystem(DynamicGraphSystem):
             init_vertices=num_vertices, init_edges=expected_edges
         )
         self.graph = DGAP(self.config)
-        self._inc_cache = DGAPViewCache(self.graph)
+        self._inc_cache = self.graph.view_cache()
 
     # -- updates ------------------------------------------------------------
     def insert_edge(self, src: int, dst: int) -> None:
@@ -61,28 +58,27 @@ class DGAPSystem(DynamicGraphSystem):
     @property
     def view_epoch(self) -> int:
         """DGAP's own structure epoch keys whole-view reuse."""
-        return int(self.graph.structure_epoch)
+        return self._inc_cache.epoch_key()
 
     def view_counters(self):
         """Whole-view reuse + incremental-materialization counters."""
-        c = self._inc_cache.stats.as_dict()
+        c = self._inc_cache.stats[0].as_dict()
         c["whole_view_hits"] = self.view_stats.hits
         c["view_builds"] = self.view_stats.builds
         c["sections_total"] = int(self.graph.ea.n_sections)
         return c
 
     def _build_view(self) -> BaseGraphView:
-        with self.graph.consistent_view() as snap:
-            if self.view_caching:
-                out, inn = self._inc_cache.materialize(snap)
-                indptr, dsts = out
-            else:
-                # From-scratch path.  No defensive copy: to_csr builds
-                # its arrays by fancy indexing / fresh allocation and
-                # never returns views into the persistent buffers (the
-                # aliasing test in tests/test_view_cache.py pins this).
+        if self.view_caching:
+            (indptr, dsts), inn = self._inc_cache.materialize()
+        else:
+            # From-scratch path.  No defensive copy: to_csr builds its
+            # arrays by fancy indexing / fresh allocation and never
+            # returns views into the persistent buffers (the aliasing
+            # test in tests/test_view_cache.py pins this).
+            with self.graph.consistent_view() as snap:
                 indptr, dsts = snap.to_csr()
-                inn = None
+            inn = None
         ne = max(1, int(indptr[-1]))
         nv = self.graph.num_vertices
         live_log = float(self.graph.logs.live_counts.sum())

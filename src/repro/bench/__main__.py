@@ -228,7 +228,6 @@ def cmd_profile(args) -> None:
 
 def cmd_shard(args) -> None:
     """Shard-scaling twin: single pool vs N pools on the same stream."""
-    from ..analysis.viewcache import DGAPViewCache
     from ..sharding import ShardedDGAP
 
     spec = get_dataset(args.dataset)
@@ -250,8 +249,7 @@ def cmd_shard(args) -> None:
     sharded = ShardedDGAP(n, DGAPConfig(init_vertices=nv, init_edges=edges.shape[0]))
     nsn = build(sharded)
 
-    with single.consistent_view() as snap:
-        ref_out, ref_in = DGAPViewCache(single).materialize(snap)
+    ref_out, ref_in = single.view_cache().materialize()
     mrg_out, mrg_in = sharded.global_csr()
     identical = all(
         a.tobytes() == b.tobytes()

@@ -75,7 +75,6 @@ def build_rebalance_arm(
     scale: float,
     batch_size: Optional[int],
     *,
-    scalar_readpath: bool = False,
     rounds: int = REBALANCE_ARM_ROUNDS,
 ):
     """Run the merge/rebalance-heavy arm; return ``(graph, rebalance_wall_s)``.
@@ -84,6 +83,8 @@ def build_rebalance_arm(
     whole-array rebalance is forced.  Only the rebalance calls are
     timed — that is the path the bulk pmem read layer vectorizes (the
     ingest slices between them exercise the ordinary merge triggers).
+    Call it inside :func:`repro.testing.reference.scalar_reference` to
+    time the scalar reference arm.
     """
     from time import perf_counter
 
@@ -95,7 +96,6 @@ def build_rebalance_arm(
             init_vertices=nv,
             init_edges=edges.shape[0],
             segment_slots=REBALANCE_ARM_SEGMENT_SLOTS,
-            scalar_readpath=scalar_readpath,
         )
     )
     per = max(1, edges.shape[0] // rounds)

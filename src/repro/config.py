@@ -10,6 +10,9 @@ the ablation switches used by Table 5:
 * ``dram_placement`` — ① vertex array + PMA metadata in DRAM ("No
   EL&UL&DP" when False: everything lives on PM and pays persistent
   in-place update costs).
+
+Every field is a storage or protocol choice; test oracles such as the
+scalar read-path references live in :mod:`repro.testing.reference`.
 """
 
 from __future__ import annotations
@@ -89,15 +92,6 @@ class DGAPConfig:
     use_edge_log: bool = True
     use_undo_log: bool = True
     dram_placement: bool = True
-
-    #: Run the retained scalar (per-slot/per-entry Python loop) reference
-    #: implementations of the read-side hot paths — rebalance gather and
-    #: plan, the recovery pivot scan, log replay and log-cursor rebuild —
-    #: instead of the vectorized bulk-read ones.  Result- and
-    #: accounting-identical by contract (the equivalence tests pin this);
-    #: exists for differential testing and the speedup benchmarks, not
-    #: for production use.
-    scalar_readpath: bool = False
 
     def __post_init__(self) -> None:
         if self.init_vertices <= 0 or self.init_edges <= 0:

@@ -148,10 +148,6 @@ class EdgeBatch:
         """+1 per insert, -1 per tombstone (live-degree contribution)."""
         return np.where(self.tombstone, np.int64(-1), np.int64(1))
 
-    def section_keys(self, starts: np.ndarray, segment_slots: int) -> np.ndarray:
-        """PMA section of each edge's source pivot (``starts`` per vertex)."""
-        return (starts[self.src] - 1) // segment_slots
-
     def shard_keys(self, n_shards: int) -> np.ndarray:
         """Owning shard of each edge (block-mixed partition on the source).
 

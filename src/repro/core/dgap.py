@@ -40,7 +40,7 @@ from .encoding import MAX_VERTEX, SLOT_DTYPE, encode_edge, encode_pivot
 from .locks import SectionLockTable
 from ..obs.tracer import annotate, trace
 from .pma_tree import DensityBounds
-from ..nputil import multi_arange as _multi_arange
+from ..nputil import multi_arange
 from .rebalance import (
     ROOT_EPS,
     ROOT_GEN,
@@ -734,7 +734,7 @@ class DGAP:
             gpos = va.start[gsrc] + va.array_degree[gsrc]
             kclip = np.minimum(gcount, np.clip(cap - gpos, 0, None))
             nfree = kclip.copy()
-            cand = _multi_arange(gpos, kclip)
+            cand = multi_arange(gpos, kclip)
             if cand.size:
                 occ_mask = ea.slots[cand] != 0
                 if occ_mask.any():
@@ -747,8 +747,8 @@ class DGAP:
                     nfree = np.minimum(kclip, first_block)
             n_fast = int(nfree.sum())
             if n_fast:
-                fast_slots = _multi_arange(gpos, nfree)
-                fast_p = p[_multi_arange(gstart, nfree)]
+                fast_slots = multi_arange(gpos, nfree)
+                fast_p = p[multi_arange(gstart, nfree)]
                 # Emit the span in original stream-position order: the
                 # device sees the same scattered store/flush sequence a
                 # per-edge stream would, so modeled flush classification
@@ -773,7 +773,7 @@ class DGAP:
             deferred_parts: list = []
             if rem.any():
                 c_thr = self._merge_threshold()
-                tails = _multi_arange(gstart + nfree, rem)
+                tails = multi_arange(gstart + nfree, rem)
                 # Emission again follows original stream positions, so
                 # appends from different sections interleave exactly as a
                 # per-edge stream would hit the device.
@@ -934,6 +934,12 @@ class DGAP:
     def consistent_view(self) -> DGAPSnapshot:
         """Snapshot the Degree Cache for an analysis task (``g.consistent_view``)."""
         return DGAPSnapshot(self)
+
+    def view_cache(self):
+        """A new incremental (out, in) CSR view cache over this graph."""
+        from ..analysis.viewcache import DGAPViewCache
+
+        return DGAPViewCache(self)
 
     def _snapshot_opened(self, snap) -> None:
         self._active_snapshots += 1

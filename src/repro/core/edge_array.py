@@ -15,8 +15,6 @@ PMDK would free them.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..pmem.pool import PMemPool
@@ -85,9 +83,6 @@ class EdgeArray:
     def write_slot(self, slot: int, value, payload: int = 0, persist: bool = True) -> None:
         self.region.write(slot, value, payload=payload, persist=persist)
 
-    def write_run(self, start: int, values: np.ndarray, payload: int = 0) -> None:
-        self.region.write_slice(start, values, payload=payload, persist=True)
-
     def write_slots(self, slots: np.ndarray, values: np.ndarray, payload: int = 4) -> None:
         """Batched scattered slot writes, one persisted store per slot.
 
@@ -129,9 +124,6 @@ class EdgeArray:
         the density the PMA tree reasons about (paper: log edges count
         toward their section's density)."""
         return self.seg_occ + log_live_counts
-
-    def total_elements(self) -> int:
-        return int(self.seg_occ.sum())
 
 
 __all__ = ["EdgeArray"]

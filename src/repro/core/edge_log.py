@@ -29,7 +29,7 @@ self-invalidating without a checksum:
 Recovery finds the append frontier as one past the last entry with any
 nonzero field — no persistent per-log counter (counters would be
 in-place PM updates, exactly what DGAP avoids).  ``read_entry`` /
-``walk_chain`` undo the biases, so readers see plain ids.
+``walk_chain_arrays`` undo the biases, so readers see plain ids.
 """
 
 from __future__ import annotations
@@ -265,15 +265,12 @@ class EdgeLogs:
         return self.region.gather(idxs, per_unit=_FIELDS, bucket=bucket)
 
     def walk_chain_arrays(self, head_gidx: int, limit: int = -1):
-        """Ndarray fast path of :meth:`walk_chain`.
+        """Follow back-pointers from ``head_gidx``; stop after ``limit`` if >= 0.
 
-        Follows back-pointers from ``head_gidx`` into a preallocated
-        buffer; returns newest-first ``(gidxs, srcs, dst_encs)`` int64
-        column views (valid until the next walk).  Pointer chasing a
-        single chain is inherently serial, but writing into a reused
-        ndarray avoids the per-entry tuple and list traffic of the
-        scalar walk — see :meth:`resolve_chains` for the many-chain
-        vectorized form.
+        Walks into a preallocated buffer; returns newest-first
+        ``(gidxs, srcs, dst_encs)`` int64 column views (valid until the
+        next walk).  Pointer chasing a single chain is inherently serial;
+        see :meth:`resolve_chains` for the many-chain vectorized form.
         """
         buf = self._chain_buf
         view = self.region.view
@@ -295,23 +292,13 @@ class EdgeLogs:
         done = buf[:n]
         return done[:, 0], done[:, 1], done[:, 2]
 
-    def walk_chain(self, head_gidx: int, limit: int = -1) -> list:
-        """Follow back-pointers from ``head_gidx``; newest-first list of
-        ``(gidx, src, dst_enc)``; stops after ``limit`` entries if >= 0.
-
-        Scalar wrapper over :meth:`walk_chain_arrays`, kept for the
-        tuple-shaped test callers; hot paths use the array forms.
-        """
-        gidxs, srcs, dst_encs = self.walk_chain_arrays(head_gidx, limit)
-        return list(zip(gidxs.tolist(), srcs.tolist(), dst_encs.tolist()))
-
     def resolve_chains(self, heads: np.ndarray, expect_src: np.ndarray = None):
         """Follow *all* back-pointer chains at once (frontier pointer chasing).
 
         ``heads`` holds one chain head per vertex (−1 for no chain).
         Returns ``(counts, gidxs, dst_encs)``: per-head chain lengths
         plus the concatenated entries grouped by head, newest-first
-        within each group — exactly what :meth:`walk_chain` per head
+        within each group — exactly what :meth:`walk_chain_arrays` per head
         would produce, computed round-by-round over a shrinking frontier
         (one fancy-indexed read per chain depth instead of one Python
         iteration per entry).
@@ -368,7 +355,7 @@ class EdgeLogs:
         return counts, gidxs, dst_encs
 
     # -- recovery -----------------------------------------------------------------
-    def rebuild_counts(self, scalar: bool = False) -> None:
+    def rebuild_counts(self) -> None:
         """Recompute append cursors from persistent bytes (crash recovery).
 
         The cursor is one past the last *non-empty* entry — one with any
@@ -380,12 +367,8 @@ class EdgeLogs:
         live and replayed) — a torn partial entry can never be.
 
         One accounted sequential pass over the whole log region, via the
-        device's bulk read layer; ``scalar=True`` runs the retained
-        per-entry reference instead (same results, same accounting).
+        device's bulk read layer.
         """
-        if scalar:
-            self._rebuild_counts_scalar()
-            return
         raw = self.pool.device.load_batch(self.region.offset, self.region.nbytes, bucket="recovery")
         view = raw.view(np.int32).reshape(self.n_sections, self.entries_per_section, _FIELDS)
         nonempty = (view != 0).any(axis=2)
@@ -396,24 +379,6 @@ class EdgeLogs:
         any_used = nonempty.any(axis=1)
         self.counts = np.where(any_used, self.entries_per_section - first, 0).astype(np.int64)
         self.live_counts = valid.sum(axis=1).astype(np.int64)
-
-    def _rebuild_counts_scalar(self) -> None:
-        """Per-entry reference implementation of :meth:`rebuild_counts`."""
-        view = self.region.view
-        counts = np.zeros(self.n_sections, dtype=np.int64)
-        live = np.zeros(self.n_sections, dtype=np.int64)
-        for s in range(self.n_sections):
-            base = self._base(s)
-            for slot in range(self.entries_per_section):
-                p = base + slot * _FIELDS
-                f0, f1, f2 = int(view[p]), int(view[p + 1]), int(view[p + 2])
-                if f0 or f1 or f2:
-                    counts[s] = slot + 1
-                if f0 and f1 and f2:
-                    live[s] += 1
-        self.counts = counts
-        self.live_counts = live
-        self.pool.device.account_seq_read(self.region.nbytes, bucket="recovery")
 
 
 __all__ = ["EdgeLogs", "ENTRY_BYTES"]

@@ -68,9 +68,6 @@ class PMATree:
         slots = (hi - lo) * self.segment_slots
         return float(occupancy[lo:hi].sum()) / slots
 
-    def leaf_overflows(self, occupancy: np.ndarray, section: int) -> bool:
-        return self.density(occupancy, section, section + 1) > self.tau(0)
-
     def find_rebalance_window(
         self,
         occupancy: np.ndarray,

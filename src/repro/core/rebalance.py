@@ -41,14 +41,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import GraphError, OutOfPMemError
+from ..errors import GraphError
 from ..nputil import ScratchBuffer, multi_arange
 from ..obs.tracer import annotate, trace
 from .edge_array import EdgeArray
 from .edge_log import EdgeLogs
-from .encoding import SLOT_DTYPE, TOMB_BIT, encode_pivot, is_pivot, pivot_vertices
+from .encoding import SLOT_DTYPE, TOMB_BIT, is_pivot, pivot_vertices
 from .undo_log import (
-    PHASE_COMPACT,
     STATE_ACTIVE,
     STATE_COPYBACK,
     STATE_DONE,
@@ -77,13 +76,11 @@ class GatherResult:
     """Everything known about a window's contents after gathering.
 
     The per-vertex runs live concatenated in one ``values`` array
-    (``sizes``/``run_off`` index it); ``runs`` materializes the
-    per-vertex list of views lazily for the callers and tests that want
-    the per-run shape.
+    (``sizes``/``run_off`` index it).
     """
 
     __slots__ = ("lo", "hi", "i0", "j", "values", "sizes", "run_off",
-                 "chain_gidxs", "total", "_runs")
+                 "chain_gidxs", "total")
 
     def __init__(self, lo, hi, i0, j, values, sizes, run_off, chain_gidxs, total):
         self.lo = lo
@@ -95,30 +92,6 @@ class GatherResult:
         self.run_off: np.ndarray = run_off  # exclusive prefix sum of sizes
         self.chain_gidxs: np.ndarray = chain_gidxs
         self.total = total  # elements incl. pivots
-        self._runs: Optional[List[np.ndarray]] = None
-
-    @classmethod
-    def from_runs(cls, lo, hi, i0, j, runs, chain_gidxs, total) -> "GatherResult":
-        """Build from a per-vertex list of run arrays (scalar reference path)."""
-        sizes = np.fromiter((r.size for r in runs), dtype=np.int64, count=len(runs))
-        run_off = np.cumsum(sizes) - sizes
-        values = (
-            np.concatenate(runs) if runs else np.empty(0, dtype=SLOT_DTYPE)
-        ).astype(SLOT_DTYPE, copy=False)
-        res = cls(lo, hi, i0, j, values, sizes, run_off,
-                  np.asarray(chain_gidxs, dtype=np.int64), total)
-        res._runs = list(runs)
-        return res
-
-    @property
-    def runs(self) -> List[np.ndarray]:
-        """Per-vertex edge values (no pivot), as views into ``values``."""
-        if self._runs is None:
-            self._runs = [
-                self.values[o : o + s]
-                for o, s in zip(self.run_off.tolist(), self.sizes.tolist())
-            ]
-        return self._runs
 
 
 def _compact_keep_mask(
@@ -238,12 +211,10 @@ class Rebalancer:
 
         One whole-window bulk load plus one gather of every pending
         chain entry, with chain heads resolved by frontier pointer
-        chasing — accounting-identical to the retained scalar reference
-        (``scalar_readpath``): one sequential window read, then one
-        random read per chain entry.
+        chasing — accounting-identical to the scalar reference in
+        :mod:`repro.testing.reference`: one sequential window read, then
+        one random read per chain entry.
         """
-        if self.host.config.scalar_readpath:
-            return self._gather_scalar(lo, hi, i0, j)
         host = self.host
         va, ea, logs = host.va, host.ea, host.logs
         dev = host.pool.device
@@ -271,38 +242,6 @@ class Rebalancer:
             ends = run_off + sizes
             values[ends[kk] - 1 - rr] = rows[:, 1]
         return GatherResult(lo, hi, i0, j, values, sizes, run_off, chain_gidxs, n + nvals)
-
-    def _gather_scalar(self, lo: int, hi: int, i0: int, j: int) -> GatherResult:
-        """Per-vertex/per-entry reference implementation of :meth:`_gather`."""
-        host = self.host
-        va, ea, logs = host.va, host.ea, host.logs
-        slots = ea.slots
-        runs: List[np.ndarray] = []
-        chain_gidxs: List[int] = []
-        total = 0
-        for v in range(i0, j):
-            st = int(va.start[v])
-            ad = int(va.array_degree[v])
-            arr = slots[st : st + ad].copy()
-            el = int(va.el[v])
-            if el >= 0:
-                chain = logs.walk_chain(el)  # newest first
-                if chain and chain[-1][1] != v:
-                    raise GraphError(f"edge-log chain of vertex {v} is corrupt")
-                vals = np.fromiter(
-                    (c[2] for c in reversed(chain)), dtype=SLOT_DTYPE, count=len(chain)
-                )
-                chain_gidxs.extend(c[0] for c in chain)
-                run = np.concatenate([arr, vals])
-            else:
-                run = arr
-            runs.append(run)
-            total += 1 + run.size  # pivot + edges
-        dev = host.pool.device
-        dev.account_seq_read((hi - lo) * 4, bucket="rebalance")
-        if chain_gidxs:
-            dev.account_rnd_read(len(chain_gidxs), 12, bucket="rebalance")
-        return GatherResult.from_runs(lo, hi, i0, j, runs, chain_gidxs, total)
 
     def _gaps(self, sizes: np.ndarray, G: int, T: int) -> np.ndarray:
         """Per-run trailing gaps distributing ``G`` free slots.
@@ -332,8 +271,6 @@ class Rebalancer:
         over sizes-plus-gaps, then pivots and all run values scatter
         into the image in two fancy-indexed stores.
         """
-        if self.host.config.scalar_readpath:
-            return self._plan_scalar(g)
         W = g.hi - g.lo
         nv = len(g.sizes)
         sizes = 1 + g.sizes  # pivot + edges
@@ -348,24 +285,6 @@ class Rebalancer:
             image[pos] = -(np.arange(g.i0, g.j, dtype=np.int64) + 1)  # encode_pivot
             if g.values.size:
                 image[multi_arange(pos + 1, g.sizes)] = g.values
-        return image, new_starts
-
-    def _plan_scalar(self, g: GatherResult) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-run reference implementation of :meth:`_plan`."""
-        W = g.hi - g.lo
-        nv = len(g.runs)
-        sizes = np.fromiter((1 + r.size for r in g.runs), dtype=np.int64, count=nv)
-        T = int(sizes.sum())
-        assert T == g.total and T <= W
-        gaps = self._gaps(sizes, W - T, T) if nv else sizes
-        image = np.zeros(W, dtype=SLOT_DTYPE)
-        new_starts = np.zeros(nv, dtype=np.int64)
-        pos = 0
-        for k, run in enumerate(g.runs):
-            image[pos] = encode_pivot(g.i0 + k)
-            image[pos + 1 : pos + 1 + run.size] = run
-            new_starts[k] = g.lo + pos + 1
-            pos += 1 + run.size + int(gaps[k])
         return image, new_starts
 
     # ------------------------------------------------------------------

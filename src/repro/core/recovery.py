@@ -34,7 +34,7 @@ from ..obs.tracer import trace
 from ..pmem.pool import PMemPool
 from ..pmem.tx import TransactionManager
 from .edge_array import EdgeArray
-from .edge_log import ENTRY_BYTES, EdgeLogs
+from .edge_log import EdgeLogs
 from .encoding import SLOT_DTYPE, TOMB_BIT
 from .locks import SectionLockTable
 from .pma_tree import DensityBounds
@@ -135,7 +135,7 @@ def _normal_restart(host) -> None:
         fields["live_degree"], fields["el"],
     )
     pool.device.account_seq_read(nbytes, bucket="recovery")
-    host.logs.rebuild_counts(scalar=host.config.scalar_readpath)
+    host.logs.rebuild_counts()
     host.ea.recount_all()
     pool.device.account_seq_read(host.ea.capacity * 4, bucket="recovery")
 
@@ -156,7 +156,7 @@ def crash_recover(host) -> None:
 
     # (2) edge-log cursors (needed by the undo logs' pending clears)
     with trace("rebuild_log_cursors"):
-        host.logs.rebuild_counts(scalar=host.config.scalar_readpath)
+        host.logs.rebuild_counts()
 
     # (3) per-thread undo logs: restore / redo / finish clears
     reissue: List[Tuple[int, int]] = []
@@ -281,11 +281,8 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The scan reads the array through the device's bulk read layer (one
     sequential stream over the capacity) and reduces it with prefix sums
-    over reused scratch; ``scalar_readpath`` selects the retained
-    per-slot reference with identical results and accounting.
+    over reused scratch.
     """
-    if host.config.scalar_readpath:
-        return _scan_edge_array_scalar(host)
     ea = host.ea
     cap = ea.capacity
     slots = host.pool.device.load_batch(
@@ -314,52 +311,13 @@ def _scan_edge_array(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts.astype(np.int64), array_deg, live
 
 
-def _scan_edge_array_scalar(host) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot reference implementation of :func:`_scan_edge_array`."""
-    slots = host.ea.slots
-    cap = host.ea.capacity
-    vids: List[int] = []
-    starts: List[int] = []
-    array_deg: List[int] = []
-    live: List[int] = []
-    for i in range(cap):
-        s = int(slots[i])
-        if s < 0:
-            vids.append(-s - 1)
-            starts.append(i + 1)
-            array_deg.append(0)
-            live.append(0)
-        elif s != 0 and starts:
-            array_deg[-1] += 1
-            if s & int(TOMB_BIT):
-                live[-1] -= 1
-            else:
-                live[-1] += 1
-    nv = len(vids)
-    if nv:
-        if any(b <= a for a, b in zip(vids, vids[1:])):
-            raise RecoveryError("pivot ids are not strictly increasing — image corrupt")
-        if vids[0] != 0 or vids[-1] != nv - 1:
-            raise RecoveryError("pivot id space is not dense — image corrupt")
-    host.pool.device.account_seq_read(cap * 4, bucket="recovery")
-    return (
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(array_deg, dtype=np.int64),
-        np.asarray(live, dtype=np.int64),
-    )
-
-
 def _replay_logs(host, nv: int, degree: np.ndarray, live: np.ndarray, el: np.ndarray) -> None:
     """Fold valid edge-log entries back into the vertex metadata (§3.1.5 step 3).
 
     Validity is decided from the log image; the valid entries are then
     fetched with one random-read gather and folded in with unbuffered
-    scatter-adds.  ``scalar_readpath`` selects the retained per-entry
-    reference.
+    scatter-adds.
     """
-    if host.config.scalar_readpath:
-        _replay_logs_scalar(host, nv, degree, live, el)
-        return
     logs = host.logs
     view = logs.region.view.reshape(logs.n_sections, logs.entries_per_section, 3)
     srcs = view[:, :, 0].ravel()
@@ -385,34 +343,6 @@ def _replay_logs(host, nv: int, degree: np.ndarray, live: np.ndarray, el: np.nda
     # chain head = the entry appended last; entries of one vertex all live
     # in one section per merge epoch, so the max global index is the head.
     np.maximum.at(el, s, gidx)
-
-
-def _replay_logs_scalar(
-    host, nv: int, degree: np.ndarray, live: np.ndarray, el: np.ndarray
-) -> None:
-    """Per-entry reference implementation of :func:`_replay_logs`."""
-    logs = host.logs
-    view = logs.region.view
-    total = logs.n_sections * logs.entries_per_section
-    n_entries = 0
-    for g in range(total):
-        p = g * 3
-        f0, f1, f2 = int(view[p]), int(view[p + 1]), int(view[p + 2])
-        if not (f0 and f1 and f2):
-            continue
-        n_entries += 1
-        s = f0 - 1
-        if s >= nv or s < 0:
-            raise RecoveryError("edge-log entry references unknown vertex")
-        degree[s] += 1
-        if f1 & int(TOMB_BIT):
-            live[s] -= 1
-        else:
-            live[s] += 1
-        if g > el[s]:
-            el[s] = g
-    if n_entries:
-        host.pool.device.account_rnd_read(n_entries, ENTRY_BYTES, bucket="recovery")
 
 
 def _reissue_window(host, lo_slot: int, hi_slot: int) -> None:

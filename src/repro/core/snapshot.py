@@ -34,9 +34,6 @@ from ..nputil import multi_arange
 from ..obs.tracer import trace
 from .encoding import SLOT_DTYPE, TOMB_BIT
 
-#: historical alias — external code and tests import the underscored name.
-_multi_arange = multi_arange
-
 
 class DGAPSnapshot:
     """One analysis task's consistent view of a DGAP graph."""
@@ -155,7 +152,7 @@ class DGAPSnapshot:
         a_now = va.array_degree[vids]
         starts = va.start[vids]
         n_arr = np.minimum(a_now, deg_t)
-        idx = _multi_arange(starts, n_arr)
+        idx = multi_arange(starts, n_arr)
         vals = self.host.ea.slots[idx] if idx.size else np.empty(0, dtype=SLOT_DTYPE)
 
         needs_chain = deg_t > n_arr
@@ -183,8 +180,8 @@ class DGAPSnapshot:
         dsts = np.empty(int(offsets[-1]), dtype=np.int32)
         # vectorized fill for ordinary vertices
         ordinary = ~(needs_chain | has_tomb)
-        src_idx = _multi_arange(starts[ordinary], n_arr[ordinary])
-        dst_idx = _multi_arange(offsets[:-1][ordinary], counts[ordinary])
+        src_idx = multi_arange(starts[ordinary], n_arr[ordinary])
+        dst_idx = multi_arange(offsets[:-1][ordinary], counts[ordinary])
         if src_idx.size:
             slot_vals = self.host.ea.slots[src_idx]
             dsts[dst_idx] = (slot_vals & ~TOMB_BIT) - 1

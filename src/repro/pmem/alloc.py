@@ -80,18 +80,6 @@ class Region:
         self._check_idx(start, n)
         return self._view[start : start + n]
 
-    def load_slice(self, start: int, n: int, bucket: Optional[str] = None) -> np.ndarray:
-        """Accounted bulk sequential load of ``n`` elements.
-
-        Like :meth:`read_slice` but routed through the device's
-        :meth:`~repro.pmem.device.PMemDevice.load_batch`, so the read is
-        poison-checked, charged as one sequential stream, and visible to
-        the device-op trace hook.
-        """
-        self._check_idx(start, n)
-        raw = self.device.load_batch(self.byte_offset(start), n * self.itemsize, bucket=bucket)
-        return raw.view(self.dtype)
-
     def gather(self, idxs, per_unit: int = 1, bucket: Optional[str] = None) -> np.ndarray:
         """Accounted gather of ``per_unit`` consecutive elements per index.
 
@@ -256,10 +244,6 @@ class FreeListAllocator:
     def free(self, off: int) -> None:
         self.allocated_blocks -= 1
         self._free.append(off)
-
-    @property
-    def live_bytes(self) -> int:
-        return self.allocated_blocks * self.block_bytes
 
 
 __all__ = ["Region", "BumpAllocator", "FreeListAllocator"]

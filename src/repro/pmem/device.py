@@ -194,21 +194,6 @@ class PMemDevice:
         if TRACE_HOOK is not None:
             TRACE_HOOK("store", 1, n)
 
-    def store_zeros(self, off: int, n: int, payload: int = 0) -> None:
-        """Store ``n`` zero bytes (cheap bulk clear through the cache)."""
-        self._check_range(off, n)
-        self._tick("store")
-        self.buf[off : off + n] = 0
-        first, last = off // CACHE_LINE, (off + n - 1) // CACHE_LINE
-        self._dirty.update(range(first, last + 1))
-        st = self.stats
-        st.stores += 1
-        st.stored_bytes += n
-        st.payload_bytes += payload
-        self._charge((last - first + 1) * self.profile.store_per_line_ns)
-        if TRACE_HOOK is not None:
-            TRACE_HOOK("store", 1, n)
-
     def ntstore(self, off: int, data: Buffer, payload: Optional[int] = None) -> None:
         """Non-temporal streaming store: write-combines straight to media.
 

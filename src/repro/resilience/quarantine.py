@@ -127,10 +127,6 @@ class DamageReport:
     def damaged_vertices(self) -> Tuple[int, ...]:
         return tuple(sorted({v for e in self.entries for v in e.vertices}))
 
-    @property
-    def byte_ranges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(e.byte_range for e in self.entries)
-
     def by_outcome(self) -> Dict[RepairOutcome, int]:
         out: Dict[RepairOutcome, int] = {}
         for e in self.entries:

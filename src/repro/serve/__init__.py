@@ -6,9 +6,9 @@ this package serves *point queries* — ``degree``, ``neighbors``,
 epoch-versioned view machinery while writers stream ``EdgeBatch``
 rounds underneath:
 
-* :class:`~repro.serve.server.QueryServer` owns a
-  :class:`~repro.analysis.viewcache.DGAPViewCache` (or the sharded
-  merge cache) and hands out immutable :class:`~repro.serve.server.
+* :class:`~repro.serve.server.QueryServer` owns the view cache its
+  graph's ``view_cache()`` makes (one interface for ``DGAP`` and
+  ``ShardedDGAP``) and hands out immutable :class:`~repro.serve.server.
   ServeView` objects pinned at a structure epoch — snapshot isolation
   for free, because a refresh allocates new arrays and never mutates
   the ones a held view references.

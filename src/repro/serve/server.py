@@ -1,15 +1,16 @@
 """Snapshot-isolated query serving over epoch-versioned CSR views.
 
 :class:`QueryServer` fronts a :class:`~repro.core.dgap.DGAP` or
-:class:`~repro.sharding.sharded.ShardedDGAP` with the view-cache
-machinery: ``acquire()`` returns an immutable :class:`ServeView` pinned
-at the graph's current structure epoch(s).  While no write lands, every
-acquire reuses the cached arrays (an epoch compare, no snapshot); after
-a write, the next acquire re-materializes through
-:class:`~repro.analysis.viewcache.DGAPViewCache` — which patches only
-the stale rows — and hands out a *new* view.  Held views keep serving
-the old arrays untouched: the cache allocates fresh arrays on every
-refresh, so isolation needs no locks and no copies on the read path.
+:class:`~repro.sharding.sharded.ShardedDGAP` with the view cache the
+graph's ``view_cache()`` makes (both kinds share one interface, so the
+server never asks which graph it serves): ``acquire()`` returns an
+immutable :class:`ServeView` pinned at the cache's epoch key.  While no
+write lands, every acquire reuses the cached arrays (an epoch compare,
+no snapshot); after a write, the next acquire re-materializes through
+the cache — which patches only the stale rows — and hands out a *new*
+view.  Held views keep serving the old arrays untouched: the cache
+allocates fresh arrays on every refresh, so isolation needs no locks
+and no copies on the read path.
 
 Modeled latency follows the analysis cost model
 (:mod:`repro.analysis.costs`).  Served reads price against the
@@ -36,8 +37,8 @@ from ..analysis.costs import (
     PM_SEQ_NS_PER_BYTE,
 )
 from ..analysis.view import ID_DTYPE
-from ..analysis.viewcache import DGAPViewCache
 from ..errors import VertexRangeError
+from ..nputil import multi_arange
 
 #: modeled cost of a same-epoch ``acquire()``: one DRAM read of the
 #: epoch counter plus the compare.
@@ -166,7 +167,7 @@ class ServeView:
                 break
             starts = indptr[frontier]
             counts = indptr[frontier + 1] - starts
-            idx = _multi_arange(starts, counts)
+            idx = multi_arange(starts, counts)
             nbrs = dsts[idx]
             frontier_total += frontier.size
             edges_total += nbrs.size
@@ -186,17 +187,11 @@ class ServeView:
         return top_k_from_degrees(degrees, k)
 
 
-def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    from ..nputil import multi_arange
-
-    return multi_arange(np.asarray(starts, dtype=np.int64), np.asarray(counts, dtype=np.int64))
-
-
 class QueryServer:
     """Serves :class:`ServeView` objects for a DGAP or ShardedDGAP.
 
-    ``acquire()`` compares the graph's structure epoch(s) against the
-    cached view and only re-materializes when a write moved them.  The
+    ``acquire()`` compares the cache's epoch key against the cached
+    view and only re-materializes when a write moved it.  The
     modeled cost of each acquire lands in :attr:`last_acquire_ns`: an
     epoch check when reused, the snapshot + patch cost when refreshed —
     the driver charges it to the read that triggered the refresh.
@@ -204,13 +199,7 @@ class QueryServer:
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self.sharded = hasattr(graph, "shards")
-        if self.sharded:
-            from ..sharding.merge import ShardedViewCache
-
-            self._cache = ShardedViewCache(graph)
-        else:
-            self._cache = DGAPViewCache(graph)
+        self._cache = graph.view_cache()
         self._view: Optional[ServeView] = None
         self.refreshes = 0
         self.reuses = 0
@@ -219,10 +208,7 @@ class QueryServer:
 
     # -- epochs ------------------------------------------------------------
     def current_epoch(self):
-        g = self.graph
-        if self.sharded:
-            return tuple(int(sh.structure_epoch) for sh in g.shards)
-        return int(g.structure_epoch)
+        return self._cache.epoch_key()
 
     @property
     def view_epoch(self):
@@ -241,26 +227,19 @@ class QueryServer:
         return view
 
     def _stat_snapshot(self):
-        stats = self._cache.stats if self.sharded else [self._cache.stats]
         return [
             (s.full_rebuilds, s.sections_rebuilt, s.delta_edges_merged)
-            for s in stats
+            for s in self._cache.stats
         ]
 
     def _refresh(self, epoch) -> ServeView:
         self.refreshes += 1
         before = self._stat_snapshot()
-        if self.sharded:
-            (out_indptr, out_dsts), _ = self._cache.materialize()
-            local_nvs = [
-                int(c._nv) for c in self._cache.caches  # noqa: SLF001 — cost model input
-            ]
-        else:
-            with self.graph.consistent_view() as snap:
-                (out_indptr, out_dsts), _ = self._cache.materialize(snap)
-            local_nvs = [int(out_indptr.size - 1)]
+        (out_indptr, out_dsts), _ = self._cache.materialize()
         after = self._stat_snapshot()
-        cost = self._refresh_cost_ns(before, after, local_nvs, int(out_dsts.size))
+        cost = self._refresh_cost_ns(
+            before, after, self._cache.local_counts, int(out_dsts.size)
+        )
         self.last_acquire_ns = cost
         self.refresh_ns_total += cost
         return ServeView(epoch, out_indptr, out_dsts)

@@ -90,10 +90,11 @@ def merge_in_csr(inns: List[CSRPair], nv: int) -> CSRPair:
 class ShardedViewCache:
     """Global analysis view over a :class:`~repro.sharding.sharded.ShardedDGAP`.
 
-    One generalized :class:`DGAPViewCache` per shard (global source ids,
-    global destination domain) keeps per-shard incrementality; the merge
-    itself is a scatter plus pairwise in-stream merges — ``O(E)`` with
-    no sorting.
+    Made by ``ShardedDGAP.view_cache()``, with the interface of
+    :class:`DGAPViewCache`.  One generalized :class:`DGAPViewCache` per
+    shard (global source ids, global destination domain) keeps per-shard
+    incrementality; the merge itself is a scatter plus pairwise
+    in-stream merges — ``O(E)`` with no sorting.
     """
 
     def __init__(self, sharded) -> None:
@@ -111,7 +112,14 @@ class ShardedViewCache:
     @property
     def stats(self):
         """Per-shard :class:`~repro.analysis.viewcache.ViewCacheStats`."""
-        return [c.stats for c in self.caches]
+        return [s for c in self.caches for s in c.stats]
+
+    @property
+    def local_counts(self) -> List[int]:
+        return [n for c in self.caches for n in c.local_counts]
+
+    def epoch_key(self) -> Tuple[int, ...]:
+        return tuple(c.epoch_key() for c in self.caches)
 
     def materialize(self) -> Tuple[CSRPair, CSRPair]:
         host = self.sharded
@@ -127,7 +135,7 @@ class ShardedViewCache:
                         f"shard {r} holds {snap.num_vertices} local vertices, "
                         f"expected {expect} for global count {nv}"
                     )
-                out, inn = self.caches[r].materialize(snap, dst_nv=nv)
+                out, inn = self.caches[r].materialize_from(snap, dst_nv=nv)
             outs.append(out)
             inns.append(inn)
         return merge_out_csr(outs, nv, n), merge_in_csr(inns, nv)

@@ -194,33 +194,32 @@ class ShardedDGAP:
     ):
         if n_shards < 1:
             raise GraphError("need at least one shard")
-        self.config = config or DGAPConfig()
-        self.n_shards = int(n_shards)
-        self.router = ShardRouter(self.n_shards)
+        config = config or DGAPConfig()
+        n_shards = int(n_shards)
         # One injector across every shard device: crash sweeps count a
         # single machine-wide persistence-event stream.
         injector = injector or CrashInjector()
-        self.shards: List[DGAP] = [
-            DGAP(
-                shard_config(self.config, r, self.n_shards),
-                injector=injector,
-                faults=faults,
-            )
-            for r in range(self.n_shards)
+        shards = [
+            DGAP(shard_config(config, r, n_shards), injector=injector, faults=faults)
+            for r in range(n_shards)
         ]
-        self.pool = ShardPoolGroup([sh.pool for sh in self.shards])
+        self._attach(shards, config, n_shards)
 
     @classmethod
     def _assemble(
         cls, shards: List[DGAP], config: DGAPConfig, n_shards: int
     ) -> "ShardedDGAP":
         host = cls.__new__(cls)
-        host.config = config
-        host.n_shards = n_shards
-        host.router = ShardRouter(n_shards)
-        host.shards = shards
-        host.pool = ShardPoolGroup([sh.pool for sh in shards])
+        host._attach(shards, config, n_shards)
         return host
+
+    def _attach(self, shards: List[DGAP], config: DGAPConfig, n_shards: int) -> None:
+        self.config = config
+        self.n_shards = n_shards
+        self.router = ShardRouter(n_shards)
+        self.shards = shards
+        self.pool = ShardPoolGroup([sh.pool for sh in shards])
+        self._view_cache = self.view_cache()
 
     # ------------------------------------------------------------------
     # structure
@@ -375,19 +374,20 @@ class ShardedDGAP:
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
+    def view_cache(self):
+        """A new merged global view cache (one incremental cache per shard)."""
+        from .merge import ShardedViewCache
+
+        return ShardedViewCache(self)
+
     def global_csr(self):
         """Merged global ``((out_indptr, out_dsts), (in_indptr, in_srcs))``.
 
         Byte-identical to an unsharded build of the same edge stream
         (DESIGN.md §14); incrementally maintained per shard by the
-        epoch-versioned view caches.
+        graph's own epoch-versioned view cache.
         """
-        from .merge import ShardedViewCache
-
-        cache = getattr(self, "_view_cache", None)
-        if cache is None:
-            cache = self._view_cache = ShardedViewCache(self)
-        return cache.materialize()
+        return self._view_cache.materialize()
 
     # ------------------------------------------------------------------
     # diagnostics / lifecycle

@@ -16,6 +16,7 @@ from repro.core.undo_log import (
 )
 from repro.errors import PMemError
 from repro.pmem import PMemPool
+from repro.testing.reference import walk_chain
 
 
 @pytest.fixture
@@ -38,7 +39,7 @@ class TestEdgeLogs:
         g = -1
         for d in (1, 2, 3):
             g = logs.append(0, 7, int(encode_edge(d)), g)
-        chain = logs.walk_chain(g)
+        chain = walk_chain(logs, g)
         assert [c[2] for c in chain] == [int(encode_edge(3)), int(encode_edge(2)), int(encode_edge(1))]
 
     def test_walk_chain_limit(self, pool):
@@ -46,7 +47,7 @@ class TestEdgeLogs:
         g = -1
         for d in range(5):
             g = logs.append(0, 7, int(encode_edge(d)), g)
-        assert len(logs.walk_chain(g, limit=2)) == 2
+        assert len(walk_chain(logs, g, limit=2)) == 2
 
     def test_fill_fraction_and_overflow(self, pool):
         logs = EdgeLogs(pool, 2, 4)
@@ -72,7 +73,7 @@ class TestEdgeLogs:
         # sibling entry still readable
         assert logs.read_entry(gb)[0] == 2
         with pytest.raises(PMemError):
-            logs.walk_chain(ga)
+            walk_chain(logs, ga)
 
     def test_rebuild_counts_after_crash(self, pool):
         logs = EdgeLogs(pool, 4, 8)
@@ -277,7 +278,7 @@ class TestChainArrayPaths:
         for d in (4, 5, 6, 7):
             g = logs.append(1, 9, int(encode_edge(d)), g)
         gidxs, srcs, dst_encs = logs.walk_chain_arrays(g)
-        expect = logs.walk_chain(g)
+        expect = walk_chain(logs, g)
         assert list(zip(gidxs.tolist(), srcs.tolist(), dst_encs.tolist())) == expect
         assert srcs.tolist() == [9, 9, 9, 9]
 
@@ -305,7 +306,7 @@ class TestChainArrayPaths:
         assert counts.tolist() == [3, 0, 5, 1]
         off = 0
         for h, c in zip(heads, counts.tolist()):
-            walked = logs.walk_chain(h) if h >= 0 else []
+            walked = walk_chain(logs, h) if h >= 0 else []
             assert gidxs[off : off + c].tolist() == [w[0] for w in walked]
             assert dst_encs[off : off + c].tolist() == [w[2] for w in walked]
             off += c

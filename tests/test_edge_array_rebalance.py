@@ -8,6 +8,7 @@ from repro.core.edge_array import EdgeArray
 from repro.core.encoding import encode_edge, encode_pivot
 from repro.core.pma_tree import DensityBounds
 from repro.pmem import PMemPool
+from repro.testing.reference import runs
 
 BOUNDS = DensityBounds(0.92, 0.70, 0.08, 0.30)
 
@@ -85,7 +86,7 @@ class TestRebalanceInternals:
         if g.va.el[0] >= 0:
             lo, hi, i0, j = g.rebalancer._extend(0, g.ea.capacity)
             res = g.rebalancer._gather(lo, hi, i0, j)
-            assert res.runs[0].size == g.va.degree[0]
+            assert runs(res)[0].size == g.va.degree[0]
             assert len(res.chain_gidxs) > 0
 
     def test_plan_preserves_order_and_density(self):
@@ -99,7 +100,7 @@ class TestRebalanceInternals:
         # pivots appear in vertex order at new_starts - 1 - lo
         for k, v in enumerate(range(i0, j)):
             assert image[new_starts[k] - 1 - lo] == encode_pivot(v)
-            run = res.runs[k]
+            run = runs(res)[k]
             got = image[new_starts[k] - lo : new_starts[k] - lo + run.size]
             np.testing.assert_array_equal(got, run)
 
@@ -115,7 +116,7 @@ class TestRebalanceInternals:
         # gap after a run = next pivot - run end
         gaps = []
         for k in range(j - i0):
-            end = new_starts[k] - lo + res.runs[k].size
+            end = new_starts[k] - lo + runs(res)[k].size
             nxt = new_starts[k + 1] - 1 - lo if k + 1 < j - i0 else image.size
             gaps.append(nxt - end)
         assert gaps[0] == max(gaps)  # the hot vertex got the most room

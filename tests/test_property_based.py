@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro import DGAP, DGAPConfig
 from repro.core.encoding import decode_edge, decode_pivot, encode_edge, encode_pivot
 from repro.core.pma_tree import DensityBounds, PMATree
-from repro.core.snapshot import _apply_tombstones, _multi_arange
+from repro.core.snapshot import _apply_tombstones
+from repro.nputil import multi_arange
 from repro.pmem import CACHE_LINE, PMemDevice
 
 BOUNDS = DensityBounds(0.92, 0.70, 0.08, 0.30)
@@ -96,7 +97,7 @@ class TestSnapshotHelpers:
         n = min(len(starts), len(counts))
         s = np.asarray(starts[:n], dtype=np.int64)
         c = np.asarray(counts[:n], dtype=np.int64)
-        got = _multi_arange(s, c)
+        got = multi_arange(s, c)
         want = np.concatenate(
             [np.arange(a, a + k) for a, k in zip(s, c)] or [np.empty(0, np.int64)]
         )

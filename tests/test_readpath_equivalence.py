@@ -2,9 +2,10 @@
 
 The bulk pmem read layer (``load_batch``/``gather_span``) rewrote the
 rebalance gather/plan passes and the recovery scan/replay/cursor-rebuild
-as whole-window NumPy operations; ``DGAPConfig.scalar_readpath`` keeps
-the original per-slot/per-entry loops as a reference.  The contract is
-exact equivalence: same results, same persistent bytes, and the same
+as whole-window NumPy operations; :mod:`repro.testing.reference` keeps
+the original per-slot/per-entry loops as references, and its
+``scalar_reference()`` seam runs a whole workload on them.  The contract
+is exact equivalence: same results, same persistent bytes, and the same
 device accounting (counters *and* modeled time, bit for bit).  These
 tests pin that contract on randomized workloads, including tombstoned
 edges, invalidated log entries, and torn (partially persisted) entries.
@@ -16,10 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
-from repro.core.edge_log import ENTRY_BYTES, EdgeLogs
+from repro.core import recovery as rec
+from repro.core.edge_log import EdgeLogs
 from repro.core.encoding import encode_edge
+from repro.core.rebalance import Rebalancer
 from repro.errors import PMemError
 from repro.pmem import PMemPool
+from repro.testing import reference as ref
 
 common = settings(
     max_examples=15,
@@ -36,14 +40,13 @@ op_streams = st.lists(
 )
 
 
-def _build(scalar: bool, ops) -> DGAP:
+def _build(ops) -> DGAP:
     g = DGAP(
         DGAPConfig(
             init_vertices=16,
             init_edges=256,
             elog_size=96,  # 8 entries/section: frequent merges
             segment_slots=64,
-            scalar_readpath=scalar,
         )
     )
     inserted = set()
@@ -76,31 +79,48 @@ def _assert_graphs_equal(ga: DGAP, gb: DGAP) -> None:
         )
 
 
+def _assert_used(calls, *names) -> None:
+    """The seam really ran each named reference (not the vectorized path)."""
+    missing = [n for n in names if calls[n] == 0]
+    assert not missing, f"scalar arm never called {missing}: {dict(calls)}"
+
+
 class TestTwinWorkloads:
     """Whole-workload twins: every merge/rebalance lands identically."""
 
     @given(op_streams)
     @common
     def test_ingest_equivalence(self, ops):
-        _assert_graphs_equal(_build(True, ops), _build(False, ops))
+        with ref.scalar_reference() as calls:
+            gs = _build(ops)
+        if gs.n_rebalances or gs.n_resizes:  # each one gathers and plans
+            _assert_used(calls, "gather_scalar", "plan_scalar")
+        _assert_graphs_equal(gs, _build(ops))
 
     @given(op_streams)
     @common
     def test_crash_recovery_equivalence(self, ops):
-        gs, gv = _build(True, ops), _build(False, ops)
-        gs.pool.crash()
+        gv = _build(ops)
         gv.pool.crash()
-        rs = DGAP.open(gs.pool, gs.config)
         rv = DGAP.open(gv.pool, gv.config)
+        with ref.scalar_reference() as calls:
+            gs = _build(ops)
+            gs.pool.crash()
+            rs = DGAP.open(gs.pool, gs.config)
+        _assert_used(calls, "rebuild_counts_scalar", "scan_edge_array_scalar",
+                     "replay_logs_scalar")
         _assert_graphs_equal(rs, rv)
         assert rs.num_edges == rv.num_edges
 
     @given(op_streams)
     @common
     def test_forced_rebalance_equivalence(self, ops):
-        gs, gv = _build(True, ops), _build(False, ops)
-        for g in (gs, gv):
-            g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
+        gv = _build(ops)
+        with ref.scalar_reference() as calls:
+            gs = _build(ops)
+            gs.rebalancer.rebalance_window(0, gs.ea.n_sections, gs.ea.tree.height)
+        _assert_used(calls, "gather_scalar", "plan_scalar")
+        gv.rebalancer.rebalance_window(0, gv.ea.n_sections, gv.ea.tree.height)
         _assert_graphs_equal(gs, gv)
 
 
@@ -110,37 +130,38 @@ class TestGatherPlanEquivalence:
     @given(op_streams)
     @common
     def test_gather_matches_scalar(self, ops):
-        g = _build(False, ops)
+        g = _build(ops)
         lo, hi = 0, g.ea.capacity
         i0, j = 0, g.va.num_vertices
         res_v = g.rebalancer._gather(lo, hi, i0, j)
-        res_s = g.rebalancer._gather_scalar(lo, hi, i0, j)
+        res_s = ref.gather_scalar(g, lo, hi, i0, j)
         assert res_v.total == res_s.total
         np.testing.assert_array_equal(res_v.sizes, res_s.sizes)
         np.testing.assert_array_equal(res_v.values[: res_v.sizes.sum()],
                                       res_s.values[: res_s.sizes.sum()])
         np.testing.assert_array_equal(np.asarray(res_v.chain_gidxs),
                                       np.asarray(res_s.chain_gidxs))
-        for rv, rs in zip(res_v.runs, res_s.runs):
+        for rv, rs in zip(ref.runs(res_v), ref.runs(res_s)):
             np.testing.assert_array_equal(rv, rs)
 
     @given(op_streams)
     @common
     def test_gather_accounting_matches_scalar(self, ops):
-        gs, gv = _build(True, ops), _build(False, ops)
-        for g in (gs, gv):
+        deltas = []
+        for gather in (ref.gather_scalar, lambda g, *w: g.rebalancer._gather(*w)):
+            g = _build(ops)
             before = g.pool.device.stats.snapshot()
-            g.rebalancer._gather(0, g.ea.capacity, 0, g.va.num_vertices)
-            g._delta = g.pool.device.stats.delta_since(before)
-        assert vars(gs._delta) == vars(gv._delta)
+            gather(g, 0, g.ea.capacity, 0, g.va.num_vertices)
+            deltas.append(vars(g.pool.device.stats.delta_since(before)))
+        assert deltas[0] == deltas[1]
 
     @given(op_streams)
     @common
     def test_plan_matches_scalar(self, ops):
-        g = _build(False, ops)
+        g = _build(ops)
         res = g.rebalancer._gather(0, g.ea.capacity, 0, g.va.num_vertices)
         image_v, starts_v = g.rebalancer._plan(res)
-        image_s, starts_s = g.rebalancer._plan_scalar(res)
+        image_s, starts_s = ref.plan_scalar(g, res)
         np.testing.assert_array_equal(np.asarray(image_v), np.asarray(image_s))
         np.testing.assert_array_equal(np.asarray(starts_v), np.asarray(starts_s))
 
@@ -179,40 +200,63 @@ class TestRecoveryEquivalenceWithFaults:
             logs.region.write(logs._base(s) + slot * 3 + 2, 0, payload=0)
 
         logs_v = EdgeLogs(pool, 4, 16, create=False)
-        logs_v.rebuild_counts(scalar=False)
+        logs_v.rebuild_counts()
         logs_s = EdgeLogs(pool, 4, 16, create=False)
-        logs_s.rebuild_counts(scalar=True)
+        ref.rebuild_counts_scalar(logs_s)
         np.testing.assert_array_equal(logs_v.counts, logs_s.counts)
         np.testing.assert_array_equal(logs_v.live_counts, logs_s.live_counts)
 
     def test_rebuild_counts_accounting_matches(self):
         pools = []
-        for scalar in (True, False):
+        for rebuild in (ref.rebuild_counts_scalar, EdgeLogs.rebuild_counts):
             pool = PMemPool(1 << 20)
             logs = EdgeLogs(pool, 4, 16)
             g = -1
             for d in range(5):
                 g = logs.append(2, 7, int(encode_edge(d)), g)
             before = pool.device.stats.snapshot()
-            logs.rebuild_counts(scalar=scalar)
+            rebuild(logs)
             pools.append(vars(pool.device.stats.delta_since(before)))
         assert pools[0] == pools[1]
 
     @given(op_streams)
     @common
     def test_recovery_scan_and_replay_match_scalar(self, ops):
-        from repro.core import recovery as rec
-
-        gs, gv = _build(True, ops), _build(False, ops)
-        for g in (gs, gv):
-            g.pool.crash()
         outs = []
-        for g, scalar in ((gs, True), (gv, False)):
-            g.logs.rebuild_counts(scalar=scalar)
-            scan = rec._scan_edge_array_scalar(g) if scalar else rec._scan_edge_array(g)
-            outs.append(scan)
+        for rebuild, scan in ((ref.rebuild_counts_scalar, ref.scan_edge_array_scalar),
+                              (EdgeLogs.rebuild_counts, rec._scan_edge_array)):
+            g = _build(ops)
+            g.pool.crash()
+            rebuild(g.logs)
+            outs.append(scan(g))
         for a, b in zip(*outs):
             np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+
+
+def _entry_points():
+    return (Rebalancer._gather, Rebalancer._plan, rec._scan_edge_array,
+            rec._replay_logs, EdgeLogs.rebuild_counts)
+
+
+class TestScalarReferenceSeam:
+    """The seam routes every entry point and always restores them."""
+
+    def test_routes_and_counts_every_reference(self):
+        ops = [(k % 16, (3 * k) % 16, False) for k in range(200)]
+        with ref.scalar_reference() as calls:
+            g = _build(ops)
+            g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
+            g.pool.crash()
+            DGAP.open(g.pool, g.config)
+        assert sorted(calls) == sorted(ref.REFERENCES)
+
+    def test_restores_entry_points_when_the_block_raises(self):
+        originals = _entry_points()
+        with pytest.raises(RuntimeError):
+            with ref.scalar_reference():
+                assert _entry_points() != originals
+                raise RuntimeError("boom")
+        assert _entry_points() == originals
 
 
 class TestChainErrors:
@@ -225,7 +269,7 @@ class TestChainErrors:
         g1 = logs.append(0, 3, int(encode_edge(2)), g0)
         logs.invalidate_entries([g0])
         with pytest.raises(PMemError, match="invalidated entry"):
-            logs.walk_chain(g1)
+            ref.walk_chain(logs, g1)
         with pytest.raises(PMemError, match="invalidated entry"):
             logs.resolve_chains(np.asarray([g1]))
 

@@ -32,7 +32,7 @@ from repro.serve import (
     run_serve_workload,
 )
 from repro.serve.driver import SnapshotReader, _bytes_equal
-from repro.sharding import ShardedDGAP
+from repro.sharding import ShardedDGAP, merge_out_csr
 
 common = settings(
     max_examples=25,
@@ -159,12 +159,19 @@ def _freeze(view):
 
 
 def _fresh_out_csr(graph):
-    """Out-CSR straight from fresh snapshots (the trusted read path)."""
-    if hasattr(graph, "shards"):
-        return graph.global_csr()[0]
-    with graph.consistent_view() as snap:
-        indptr, dsts = snap.to_csr()
-    return np.asarray(indptr), np.asarray(dsts)
+    """Out-CSR straight from fresh snapshots (the trusted read path).
+
+    A sharded graph merges each shard's from-scratch ``to_csr()`` read;
+    it never goes through a view cache like the server under test.
+    """
+    shards = getattr(graph, "shards", [graph])
+    outs = []
+    for sh in shards:
+        with sh.consistent_view() as snap:
+            outs.append(tuple(np.asarray(a) for a in snap.to_csr()))
+    if len(outs) == 1:
+        return outs[0]
+    return merge_out_csr(outs, graph.num_vertices, len(outs))
 
 
 def _run_isolation(graph, rounds, deletions):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import DGAP, DGAPConfig
-from repro.core.snapshot import _multi_arange
+from repro.nputil import multi_arange
 
 CFG = dict(init_vertices=24, init_edges=1024, segment_slots=64)
 
@@ -117,8 +117,8 @@ class TestCSRDetails:
 
 class TestMultiArange:
     def test_empty(self):
-        assert _multi_arange(np.empty(0, np.int64), np.empty(0, np.int64)).size == 0
+        assert multi_arange(np.empty(0, np.int64), np.empty(0, np.int64)).size == 0
 
     def test_zero_counts_skipped(self):
-        out = _multi_arange(np.array([5, 10, 20]), np.array([2, 0, 1]))
+        out = multi_arange(np.array([5, 10, 20]), np.array([2, 0, 1]))
         np.testing.assert_array_equal(out, [5, 6, 20])

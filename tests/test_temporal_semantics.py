@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
 from repro.analysis.view import build_in_csr
-from repro.analysis.viewcache import DGAPViewCache
 from repro.errors import GraphError
 from repro.temporal import TemporalWindowGraph
 
@@ -171,13 +170,12 @@ class TestWindowedStreamDifferential:
         reference under expiry tombstones and compaction sweeps."""
         g = make_graph()
         wg = TemporalWindowGraph(g, window, compact_threshold=0.15)
-        cache = DGAPViewCache(g)
+        cache = g.view_cache()
         ref = NaiveWindowRef(window)
         for i, (adds, deletes) in enumerate(stream):
             wg.advance(adds, deletes)
             ref.step(adds, deletes)
-            with g.consistent_view() as snap:
-                (out_ip, out_ds), (in_ip, in_sr) = cache.materialize(snap)
+            (out_ip, out_ds), (in_ip, in_sr) = cache.materialize()
             (ref_ip, ref_ds), (ref_iip, ref_isr) = ref.csr(g.num_vertices)
             assert out_ip.tobytes() == ref_ip.tobytes(), f"step {i}"
             assert out_ds.tobytes() == ref_ds.tobytes(), f"step {i}"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro import DGAPConfig
 from repro.analysis.view import ID_DTYPE, INDPTR_DTYPE, build_in_csr
-from repro.analysis.viewcache import DGAPViewCache
 from repro.baselines import SYSTEMS, DGAPSystem, StaticCSR
 from repro.bench.harness import SOURCE_KERNELS
 from repro.algorithms import KERNELS
@@ -105,7 +104,7 @@ class TestIncrementalViewProperty:
     @given(ops_strategy)
     @common
     def test_second_view_cache_follows_first(self, ops):
-        """A second, independent DGAPViewCache attached mid-history must
+        """A second, independent view cache attached mid-history must
         agree too (epoch stamps are monotone, never cleared per-cache)."""
         system = small_system()
         late = None
@@ -119,12 +118,10 @@ class TestIncrementalViewProperty:
             else:
                 system.analysis_view()
                 if late is None:
-                    late = DGAPViewCache(system.graph)
-                with system.graph.consistent_view() as snap:
-                    out, inn = late.materialize(snap)
+                    late = system.graph.view_cache()
+                out, inn = late.materialize()
         if late is not None:
-            with system.graph.consistent_view() as snap:
-                out, inn = late.materialize(snap)
+            out, inn = late.materialize()
             (ref_ip, ref_ds), (ref_iip, ref_isr) = scratch_reference(system)
             np.testing.assert_array_equal(out[0], ref_ip)
             np.testing.assert_array_equal(out[1], ref_ds)
@@ -337,9 +334,11 @@ class TestDtypeStandard:
 def test_multi_arange_single_implementation():
     from repro import nputil
     from repro.algorithms import common as algo_common
+    from repro.core import dgap as core_dgap
     from repro.core import snapshot as core_snapshot
+    from repro.serve import server
 
-    assert algo_common.multi_arange is nputil.multi_arange
-    assert core_snapshot._multi_arange is nputil.multi_arange
+    for module in (algo_common, core_dgap, core_snapshot, server):
+        assert module.multi_arange is nputil.multi_arange, module.__name__
     got = nputil.multi_arange(np.array([3, 10, 7]), np.array([2, 0, 3]))
     np.testing.assert_array_equal(got, [3, 4, 7, 8, 9])
