@@ -15,8 +15,11 @@ moved:
   append, shift, rebalance window, resize, tombstone — stamps a section
   inside the span, so clean vertices' cached rows are exact.
 * **out-CSR patch** — clean rows are gathered from the previous arrays,
-  stale rows re-materialized from the snapshot
-  (:meth:`~repro.core.snapshot.DGAPSnapshot.materialize_rows`).
+  stale rows re-materialized from the snapshot in one whole-set pass
+  (:meth:`~repro.core.snapshot.DGAPSnapshot.materialize_rows`: one
+  gather of array prefixes, one chain resolution, one vectorized
+  tombstone match — no per-vertex loop, however many stale rows carry
+  pending chains or tombstones).
 * **in-CSR delta merge** — old entries whose source went stale are
   dropped; the stale rows' edges are counting-sorted by destination
   (NumPy's stable integer argsort is a radix sort over the *delta

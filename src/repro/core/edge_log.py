@@ -309,39 +309,42 @@ class EdgeLogs:
         """
         heads = np.asarray(heads, dtype=np.int64)
         nv = int(heads.size)
-        counts = np.zeros(nv, dtype=np.int64)
         kidx = np.flatnonzero(heads >= 0)
         if kidx.size == 0:
             empty = np.empty(0, dtype=np.int64)
-            return counts, empty, empty
-        view = self.region.view
+            return np.zeros(nv, dtype=np.int64), empty, empty
+        entries = self.region.view.reshape(-1, _FIELDS)
         g = heads[kidx]
         rounds_k, rounds_g, rounds_d = [], [], []
+        # A round costs a few NumPy calls whatever the frontier's size,
+        # and deep chains (a hub's log tail) make many narrow rounds:
+        # keep the per-round work to one whole-entry gather and the checks.
         while g.size:
-            p = g * _FIELDS
-            src = view[p].astype(np.int64) - 1
-            dst = view[p + 1].astype(np.int64)
-            back = view[p + 2].astype(np.int64) - 2
-            invalid = dst == 0
-            if invalid.any():
-                bad = int(g[int(invalid.argmax())])
+            e = np.take(entries, g, axis=0)  # (k, 3): src+1, dst_enc, back+2
+            dst = e[:, 1]
+            if not dst.all():
+                bad = int(g[int((dst == 0).argmax())])
                 raise PMemError(f"edge-log chain reached invalidated entry {bad}")
             rounds_k.append(kidx)
             rounds_g.append(g)
             rounds_d.append(dst)
-            counts[kidx] += 1
+            back = e[:, 2].astype(np.int64) - 2
             ended = back < 0
-            if expect_src is not None and ended.any():
-                mism = src[ended] != np.asarray(expect_src)[kidx[ended]]
-                if mism.any():
-                    v = int(np.min(np.asarray(expect_src)[kidx[ended]][mism]))
-                    raise GraphError(f"edge-log chain of vertex {v} is corrupt")
-            keep = ~ended
-            kidx = kidx[keep]
-            g = back[keep]
+            if ended.any():
+                if expect_src is not None:
+                    want = np.asarray(expect_src)[kidx[ended]]
+                    mism = e[ended, 0] - 1 != want
+                    if mism.any():
+                        v = int(np.min(want[mism]))
+                        raise GraphError(f"edge-log chain of vertex {v} is corrupt")
+                keep = ~ended
+                kidx = kidx[keep]
+                back = back[keep]
+            g = back
         k_cat = np.concatenate(rounds_k)
         g_cat = np.concatenate(rounds_g)
         d_cat = np.concatenate(rounds_d)
+        counts = np.bincount(k_cat, minlength=nv).astype(np.int64, copy=False)
         # An entry surfaced in round r is the r-th newest of its chain:
         # scatter each round to slot ``start_of_chain + r``.
         sizes = np.fromiter((a.size for a in rounds_k), dtype=np.int64, count=len(rounds_k))

@@ -42,7 +42,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import GraphError
-from ..nputil import ScratchBuffer, multi_arange
+from ..nputil import ScratchBuffer, match_tombstones, multi_arange
 from ..obs.tracer import annotate, trace
 from .edge_array import EdgeArray
 from .edge_log import EdgeLogs
@@ -99,32 +99,23 @@ def _compact_keep_mask(
 ) -> np.ndarray:
     """Per-run keep mask dropping matched tombstone + cancelled-live pairs.
 
-    Pairing mirrors the snapshot read path (``snapshot._apply_tombstones``):
-    within one vertex's logical run, a tombstone cancels the *most recent
-    earlier* live occurrence of its destination, and both slots of a
-    matched pair are dropped.  Unmatched tombstones (deletes of a
-    never-present edge) are **kept**: they carry a −1 live-degree
-    contribution that both the DRAM bookkeeping and the recovery scan
-    (``live = array_deg − 2·tombs``) account per tombstone regardless of
-    matching, so dropping them would silently shift live degrees.
-    Filtering is order-preserving, so replaying the kept sequence reads
-    back the exact same live adjacency.
+    Pairing mirrors the snapshot read path: both go through
+    :func:`~repro.nputil.match_tombstones`, so within one vertex's
+    logical run a tombstone cancels the *most recent earlier* live
+    occurrence of its destination, and both slots of a matched pair are
+    dropped.  Unmatched tombstones (deletes of a never-present edge) are
+    **kept**: they carry a −1 live-degree contribution that both the
+    DRAM bookkeeping and the recovery scan (``live = array_deg −
+    2·tombs``) account per tombstone regardless of matching, so dropping
+    them would silently shift live degrees.  Filtering is
+    order-preserving, so replaying the kept sequence reads back the
+    exact same live adjacency.  (Runs are back to back, so ``sizes``
+    alone assigns each value its run; ``run_off`` is implied.)
     """
-    keep = np.ones(values.size, dtype=bool)
-    vals = values.tolist()
-    tb = int(TOMB_BIT)
-    for o, s in zip(run_off.tolist(), sizes.tolist()):
-        open_pos: dict = {}
-        for i in range(o, o + s):
-            enc = vals[i]
-            if enc & tb:
-                stack = open_pos.get(enc & ~tb)
-                if stack:
-                    keep[stack.pop()] = False
-                    keep[i] = False
-            else:
-                open_pos.setdefault(enc, []).append(i)
-    return keep
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    tomb = (values & TOMB_BIT) != 0
+    matched_live, matched_tomb = match_tombstones(owner, values & ~TOMB_BIT, tomb)
+    return ~(matched_live | matched_tomb)
 
 
 class Rebalancer:

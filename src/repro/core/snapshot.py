@@ -20,7 +20,18 @@ Reading vertex ``v`` at time *t* (``degree_t = degree_v^t``):
   the rest (paper: the FIFO buffer of size ``rest_v^t``).
 
 Tombstones (deleted edges) are filtered at read time: a tombstone
-cancels one earlier occurrence of the same destination.
+cancels the most recent earlier uncancelled occurrence of the same
+destination, and is itself never read.
+
+Two read paths implement this rule.  :meth:`DGAPSnapshot.out_neighbors`
+is the point read: one vertex, one chain walk, one per-element
+tombstone pass — what serving's per-query snapshots and the twin
+oracles read.  :meth:`DGAPSnapshot.materialize_rows` (behind
+``to_csr`` and every view-cache refresh) is the bulk read: all array
+prefixes in one gather, all chain tails in one
+``EdgeLogs.resolve_chains``, and tombstones cancelled for the whole set
+by one :func:`~repro.nputil.match_tombstones` pass — the same matcher
+compaction uses.  Row for row both paths return identical arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import SnapshotError
-from ..nputil import multi_arange
+from ..nputil import match_tombstones, multi_arange
 from ..obs.tracer import trace
 from .encoding import SLOT_DTYPE, TOMB_BIT
 
@@ -140,53 +151,43 @@ class DGAPSnapshot:
 
         Returns ``(counts, dsts)``: ``counts[i]`` is the live degree of
         ``vids[i]`` at snapshot time and ``dsts`` holds the rows back to
-        back.  The common case (no pending chains, no tombstones) is
-        fully vectorized; vertices that need chain walks or tombstone
-        filtering are patched individually.  Both arrays are always
-        freshly allocated — never views into the persistent buffers.
+        back — per row exactly :meth:`out_neighbors`.  One whole-set
+        pass: every array prefix in one gather, every needed chain tail
+        in one :meth:`~repro.core.edge_log.EdgeLogs.resolve_chains`, and
+        one :func:`~repro.nputil.match_tombstones` to drop tombstones and
+        the live entries they cancel.  Both arrays are always freshly
+        allocated — never views into the persistent buffers.
         """
         self._check()
         va = self.host.va
         vids = np.asarray(vids, dtype=np.int64)
-        deg_t = self.degree_t[vids]
-        a_now = va.array_degree[vids]
-        starts = va.start[vids]
-        n_arr = np.minimum(a_now, deg_t)
-        idx = multi_arange(starts, n_arr)
-        vals = self.host.ea.slots[idx] if idx.size else np.empty(0, dtype=SLOT_DTYPE)
-
-        needs_chain = deg_t > n_arr
-        has_tomb = np.zeros(vids.size, dtype=bool)
-        if vals.size:
-            tomb_positions = (vals & TOMB_BIT) != 0
-            if tomb_positions.any():
-                owner = np.repeat(np.arange(vids.size), n_arr)
-                has_tomb[np.unique(owner[tomb_positions])] = True
-        special = np.nonzero(needs_chain | has_tomb)[0]
-
-        if special.size == 0:
-            dsts = (vals & ~TOMB_BIT) - 1
-            return n_arr, dsts.astype(np.int32, copy=False)
-
-        # General path: splice per-vertex corrected segments.
-        counts = n_arr.copy()
-        patches = {}
-        for i in special:
-            nb = self.out_neighbors(int(vids[i]))
-            patches[int(i)] = nb
-            counts[i] = nb.size
-        offsets = np.zeros(vids.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        dsts = np.empty(int(offsets[-1]), dtype=np.int32)
-        # vectorized fill for ordinary vertices
-        ordinary = ~(needs_chain | has_tomb)
-        src_idx = multi_arange(starts[ordinary], n_arr[ordinary])
-        dst_idx = multi_arange(offsets[:-1][ordinary], counts[ordinary])
-        if src_idx.size:
-            slot_vals = self.host.ea.slots[src_idx]
-            dsts[dst_idx] = (slot_vals & ~TOMB_BIT) - 1
-        for i, nb in patches.items():
-            dsts[offsets[i] : offsets[i] + nb.size] = nb
+        counts = self.degree_t[vids]  # logical entries per row, tombstones included
+        n_arr = np.minimum(va.array_degree[vids], counts)
+        vals = self.host.ea.slots[multi_arange(va.start[vids], n_arr)]
+        chained = np.flatnonzero(counts > n_arr)
+        if chained.size:
+            # The chain holds logical positions [array_degree, degree_now)
+            # newest first: skip the entries appended after snapshot
+            # time, take the rest, and reverse them into logical order.
+            cv = vids[chained]
+            clen, _, encs = self.host.logs.resolve_chains(va.el[cv])
+            take = counts[chained] - n_arr[chained]
+            skip = va.degree[cv] - counts[chained]
+            oldest = np.cumsum(clen) - clen + skip + take - 1
+            picked = np.repeat(oldest, take) - multi_arange(np.zeros_like(take), take)
+            row_off = np.cumsum(counts) - counts
+            merged = np.empty(int(counts.sum()), dtype=SLOT_DTYPE)
+            merged[multi_arange(row_off, n_arr)] = vals
+            merged[multi_arange(row_off[chained] + n_arr[chained], take)] = encs[picked]
+            vals = merged
+        tomb = (vals & TOMB_BIT) != 0
+        dsts = ((vals & ~TOMB_BIT) - 1).astype(np.int32, copy=False)
+        if tomb.any():
+            owner = np.repeat(np.arange(vids.size), counts)
+            matched_live, _ = match_tombstones(owner, dsts, tomb)
+            drop = tomb | matched_live
+            counts -= np.bincount(owner[drop], minlength=vids.size)
+            dsts = dsts[~drop]
         return counts, dsts
 
     def to_csr(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,77 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(base, counts)
 
 
+def match_tombstones(owner: np.ndarray, key: np.ndarray, tomb: np.ndarray):
+    """Pair every tombstone with the live copy it cancels, vectorized.
+
+    Elements are in logical (insertion) order within each ``owner``.  A
+    tombstone cancels the most recent earlier *uncancelled* live element
+    with the same ``(owner, key)``; one with none is unmatched.  That is
+    nearest-unmatched-open bracket matching per ``(owner, key)`` group
+    (live = open, tombstone = close), done here in three whole-array
+    steps:
+
+    1. a stable sort on ``(owner, key)`` keeps position order inside
+       each group;
+    2. a running depth per group: a close that drives the depth to a new
+       negative prefix minimum finds no open left and is unmatched;
+    3. with those closes removed, each open sits at level ``depth`` and
+       each close at ``depth + 1`` (``depth`` counted after the element),
+       so in ``(group, level, position)`` order every matched close
+       directly follows the open it cancels.
+
+    Returns boolean masks ``(matched_live, matched_tomb)`` aligned with
+    the inputs.  Owners and keys are ids below ``2**31`` (vertex ids,
+    slot encodings), so the combined sort key fits in int64.
+    """
+    tomb = np.asarray(tomb, dtype=bool)
+    n = int(tomb.size)
+    matched_live = np.zeros(n, dtype=bool)
+    matched_tomb = np.zeros(n, dtype=bool)
+    if not tomb.any():
+        return matched_live, matched_tomb
+    owner = np.asarray(owner, dtype=np.int64)
+    key = np.asarray(key, dtype=np.int64)
+    # only owners holding a tombstone can match anything
+    tomb_owner = np.zeros(int(owner.max()) + 1, dtype=bool)
+    tomb_owner[owner[tomb]] = True
+    sel = np.flatnonzero(tomb_owner[owner])
+    k = key[sel]
+    kmin = int(k.min())
+    group_key = owner[sel] * (int(k.max()) - kmin + 1) + (k - kmin)
+    order = np.argsort(group_key, kind="stable")
+    group_key, t = group_key[order], tomb[sel][order]
+    m = int(sel.size)
+    new_group = np.ones(m, dtype=bool)
+    new_group[1:] = group_key[1:] != group_key[:-1]
+    first = np.maximum.accumulate(np.where(new_group, np.arange(m), 0))
+
+    def depth_after(step):
+        cum = np.cumsum(step)
+        return cum - (cum - step)[first]
+
+    step = np.where(t, -1, 1).astype(np.int64)
+    depth = depth_after(step)
+    # group-offset trick: a segmented running minimum of the depth
+    # before each element (groups only ever get lower, by more than any
+    # in-group swing, so each group's minimum restarts at its own 0)
+    gid = np.cumsum(new_group) - 1
+    before_min = np.minimum.accumulate(depth - step - gid * (2 * m + 2)) + gid * (2 * m + 2)
+    unmatched = t & (depth < before_min)
+    step[unmatched] = 0
+    depth = depth_after(step)
+    live = ~unmatched
+    level = np.where(t, depth + 1, depth)[live]
+    pos = np.flatnonzero(live)
+    pair_order = np.argsort(gid[live] * (m + 1) + level, kind="stable")
+    closes = np.flatnonzero(t[live][pair_order])
+    tomb_at = sel[order[pos[pair_order[closes]]]]
+    live_at = sel[order[pos[pair_order[closes - 1]]]]
+    matched_tomb[tomb_at] = True
+    matched_live[live_at] = True
+    return matched_live, matched_tomb
+
+
 class ScratchBuffer:
     """Grow-only reusable DRAM scratch arrays, keyed by purpose.
 
@@ -55,4 +126,4 @@ class ScratchBuffer:
         return out
 
 
-__all__ = ["multi_arange", "ScratchBuffer"]
+__all__ = ["match_tombstones", "multi_arange", "ScratchBuffer"]

@@ -1,11 +1,12 @@
 """Scalar reference twins of the vectorized read path, and the seam to run them.
 
-The rebalance gather/plan passes and the recovery pivot scan, log
-replay and log-cursor rebuild run as whole-window NumPy passes over the
-device's bulk read layer.  The per-slot / per-entry Python loops below
-are the implementations they replaced, kept as test oracles: each is
-result- and accounting-identical to its vectorized counterpart by
-contract (``tests/test_readpath_equivalence.py`` pins it).
+The rebalance gather/plan passes, the recovery pivot scan, log replay
+and log-cursor rebuild, the snapshot's bulk row materialization and the
+compaction sweep's tombstone pairing run as whole-window NumPy passes.
+The per-slot / per-entry / per-vertex Python loops below are the
+implementations they replaced, kept as test oracles: each is result-
+and accounting-identical to its vectorized counterpart by contract
+(``tests/test_readpath_equivalence.py`` pins it).
 
 :func:`scalar_reference` routes the vectorized entry points to these
 references for the duration of a ``with`` block and counts the calls
@@ -20,11 +21,13 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from ..core import recovery
+from ..core import rebalance, recovery
 from ..core.edge_log import _FIELDS, ENTRY_BYTES, EdgeLogs
 from ..core.encoding import SLOT_DTYPE, TOMB_BIT, encode_pivot
 from ..core.rebalance import GatherResult, Rebalancer
+from ..core.snapshot import DGAPSnapshot
 from ..errors import GraphError, RecoveryError
+from ..nputil import multi_arange
 
 
 def walk_chain(logs: EdgeLogs, head_gidx: int, limit: int = -1) -> list:
@@ -180,6 +183,79 @@ def rebuild_counts_scalar(logs: EdgeLogs) -> None:
     logs.pool.device.account_seq_read(logs.region.nbytes, bucket="recovery")
 
 
+def compact_keep_mask_scalar(
+    values: np.ndarray, sizes: np.ndarray, run_off: np.ndarray
+) -> np.ndarray:
+    """Per-run dict-of-stacks reference of ``rebalance._compact_keep_mask``."""
+    keep = np.ones(values.size, dtype=bool)
+    vals = values.tolist()
+    tb = int(TOMB_BIT)
+    for o, s in zip(run_off.tolist(), sizes.tolist()):
+        open_pos: dict = {}
+        for i in range(o, o + s):
+            enc = vals[i]
+            if enc & tb:
+                stack = open_pos.get(enc & ~tb)
+                if stack:
+                    keep[stack.pop()] = False
+                    keep[i] = False
+            else:
+                open_pos.setdefault(enc, []).append(i)
+    return keep
+
+
+def materialize_rows_scalar(snap: DGAPSnapshot, vids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-vertex splice reference of ``DGAPSnapshot.materialize_rows``.
+
+    Rows without a pending chain or a tombstone are gathered in bulk;
+    every other row is read on its own through the point-read path
+    (:meth:`~repro.core.snapshot.DGAPSnapshot.out_neighbors`).
+    """
+    snap._check()
+    va = snap.host.va
+    vids = np.asarray(vids, dtype=np.int64)
+    deg_t = snap.degree_t[vids]
+    a_now = va.array_degree[vids]
+    starts = va.start[vids]
+    n_arr = np.minimum(a_now, deg_t)
+    idx = multi_arange(starts, n_arr)
+    vals = snap.host.ea.slots[idx] if idx.size else np.empty(0, dtype=SLOT_DTYPE)
+
+    needs_chain = deg_t > n_arr
+    has_tomb = np.zeros(vids.size, dtype=bool)
+    if vals.size:
+        tomb_positions = (vals & TOMB_BIT) != 0
+        if tomb_positions.any():
+            owner = np.repeat(np.arange(vids.size), n_arr)
+            has_tomb[np.unique(owner[tomb_positions])] = True
+    special = np.nonzero(needs_chain | has_tomb)[0]
+
+    if special.size == 0:
+        dsts = (vals & ~TOMB_BIT) - 1
+        return n_arr, dsts.astype(np.int32, copy=False)
+
+    # General path: splice per-vertex corrected segments.
+    counts = n_arr.copy()
+    patches = {}
+    for i in special:
+        nb = snap.out_neighbors(int(vids[i]))
+        patches[int(i)] = nb
+        counts[i] = nb.size
+    offsets = np.zeros(vids.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    dsts = np.empty(int(offsets[-1]), dtype=np.int32)
+    # vectorized fill for ordinary vertices
+    ordinary = ~(needs_chain | has_tomb)
+    src_idx = multi_arange(starts[ordinary], n_arr[ordinary])
+    dst_idx = multi_arange(offsets[:-1][ordinary], counts[ordinary])
+    if src_idx.size:
+        slot_vals = snap.host.ea.slots[src_idx]
+        dsts[dst_idx] = (slot_vals & ~TOMB_BIT) - 1
+    for i, nb in patches.items():
+        dsts[offsets[i] : offsets[i] + nb.size] = nb
+    return counts, dsts
+
+
 #: (owner, vectorized entry point, reference).  ``Rebalancer`` methods
 #: hand the reference their host graph in place of ``self``.
 _ROUTES = (
@@ -188,6 +264,8 @@ _ROUTES = (
     (recovery, "_scan_edge_array", scan_edge_array_scalar),
     (recovery, "_replay_logs", replay_logs_scalar),
     (EdgeLogs, "rebuild_counts", rebuild_counts_scalar),
+    (DGAPSnapshot, "materialize_rows", materialize_rows_scalar),
+    (rebalance, "_compact_keep_mask", compact_keep_mask_scalar),
 )
 
 #: names of every reference the seam routes to (the keys it counts).
@@ -224,8 +302,10 @@ def scalar_reference() -> Iterator[Counter]:
 
 __all__ = [
     "REFERENCES",
+    "compact_keep_mask_scalar",
     "gather_result_from_runs",
     "gather_scalar",
+    "materialize_rows_scalar",
     "plan_scalar",
     "rebuild_counts_scalar",
     "replay_logs_scalar",

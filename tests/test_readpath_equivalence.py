@@ -2,9 +2,12 @@
 
 The bulk pmem read layer (``load_batch``/``gather_span``) rewrote the
 rebalance gather/plan passes and the recovery scan/replay/cursor-rebuild
-as whole-window NumPy operations; :mod:`repro.testing.reference` keeps
-the original per-slot/per-entry loops as references, and its
-``scalar_reference()`` seam runs a whole workload on them.  The contract
+as whole-window NumPy operations, and the one tombstone matcher
+(``nputil.match_tombstones``) rewrote the snapshot's bulk row
+materialization and compaction's pair dropping;
+:mod:`repro.testing.reference` keeps the original per-slot / per-entry /
+per-vertex loops as references, and its ``scalar_reference()`` seam runs
+a whole workload on them.  The contract
 is exact equivalence: same results, same persistent bytes, and the same
 device accounting (counters *and* modeled time, bit for bit).  These
 tests pin that contract on randomized workloads, including tombstoned
@@ -13,14 +16,16 @@ edges, invalidated log entries, and torn (partially persisted) entries.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import DGAP, DGAPConfig
+from repro.core import rebalance
 from repro.core import recovery as rec
 from repro.core.edge_log import EdgeLogs
 from repro.core.encoding import encode_edge
 from repro.core.rebalance import Rebalancer
+from repro.core.snapshot import DGAPSnapshot
 from repro.errors import PMemError
 from repro.pmem import PMemPool
 from repro.testing import reference as ref
@@ -39,18 +44,26 @@ op_streams = st.lists(
     max_size=250,
 )
 
+#: a pinned stream that ends with live edge-log chains holding
+#: tombstones (drawn streams are mostly too short to outgrow the gaps):
+#: four hubs, every 7th op a delete
+HUB_OPS = [(k % 4, (5 * k) % 16, k % 7 == 6) for k in range(240)]
 
-def _build(ops) -> DGAP:
+
+def _build(ops, mid=None) -> DGAP:
+    """Apply ``ops``; ``mid(g)`` (if given) runs once halfway through."""
     g = DGAP(
         DGAPConfig(
             init_vertices=16,
-            init_edges=256,
+            init_edges=64,  # ~8 slots per vertex: gaps run out, chains grow
             elog_size=96,  # 8 entries/section: frequent merges
             segment_slots=64,
         )
     )
     inserted = set()
-    for src, dst, delete in ops:
+    for i, (src, dst, delete) in enumerate(ops):
+        if mid is not None and i == len(ops) // 2:
+            mid(g)
         if delete and (src, dst) in inserted:
             g.delete_edge(src, dst)
             inserted.discard((src, dst))
@@ -58,6 +71,32 @@ def _build(ops) -> DGAP:
             g.insert_edge(src, dst)
             inserted.add((src, dst))
     return g
+
+
+def _read_and_compact(ops):
+    """Every bulk tombstone consumer on one stream.
+
+    A snapshot and a view cache open mid-stream; after the stream the
+    snapshot's CSR (stale chains, tombstones) and an incremental view
+    refresh are read, then a compaction sweep runs and the compacted
+    graph's CSR is read back.  Returns ``(graph, arrays, sweep stats)``.
+    """
+    held = {}
+
+    def mid(g):
+        held["snap"] = g.consistent_view()
+        held["cache"] = g.view_cache()
+        held["cache"].materialize()
+
+    g = _build(ops, mid)
+    with held["snap"] as snap:
+        arrays = list(snap.to_csr())
+    out, inn = held["cache"].materialize()
+    arrays += [*out, *inn]
+    stats = g.compact()
+    with g.consistent_view() as snap:
+        arrays += list(snap.to_csr())
+    return g, arrays, stats
 
 
 def _assert_devices_equal(ga: DGAP, gb: DGAP) -> None:
@@ -89,6 +128,7 @@ class TestTwinWorkloads:
     """Whole-workload twins: every merge/rebalance lands identically."""
 
     @given(op_streams)
+    @example(HUB_OPS)
     @common
     def test_ingest_equivalence(self, ops):
         with ref.scalar_reference() as calls:
@@ -98,6 +138,7 @@ class TestTwinWorkloads:
         _assert_graphs_equal(gs, _build(ops))
 
     @given(op_streams)
+    @example(HUB_OPS)
     @common
     def test_crash_recovery_equivalence(self, ops):
         gv = _build(ops)
@@ -113,6 +154,7 @@ class TestTwinWorkloads:
         assert rs.num_edges == rv.num_edges
 
     @given(op_streams)
+    @example(HUB_OPS)
     @common
     def test_forced_rebalance_equivalence(self, ops):
         gv = _build(ops)
@@ -121,6 +163,20 @@ class TestTwinWorkloads:
             gs.rebalancer.rebalance_window(0, gs.ea.n_sections, gs.ea.tree.height)
         _assert_used(calls, "gather_scalar", "plan_scalar")
         gv.rebalancer.rebalance_window(0, gv.ea.n_sections, gv.ea.tree.height)
+        _assert_graphs_equal(gs, gv)
+
+    @given(op_streams)
+    @example(HUB_OPS)
+    @common
+    def test_read_and_compact_equivalence(self, ops):
+        with ref.scalar_reference() as calls:
+            gs, arrays_s, stats_s = _read_and_compact(ops)
+        _assert_used(calls, "materialize_rows_scalar", "compact_keep_mask_scalar")
+        gv, arrays_v, stats_v = _read_and_compact(ops)
+        assert stats_s == stats_v
+        for a, b in zip(arrays_s, arrays_v):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
         _assert_graphs_equal(gs, gv)
 
 
@@ -235,16 +291,17 @@ class TestRecoveryEquivalenceWithFaults:
 
 def _entry_points():
     return (Rebalancer._gather, Rebalancer._plan, rec._scan_edge_array,
-            rec._replay_logs, EdgeLogs.rebuild_counts)
+            rec._replay_logs, EdgeLogs.rebuild_counts, DGAPSnapshot.materialize_rows,
+            rebalance._compact_keep_mask)
 
 
 class TestScalarReferenceSeam:
     """The seam routes every entry point and always restores them."""
 
     def test_routes_and_counts_every_reference(self):
-        ops = [(k % 16, (3 * k) % 16, False) for k in range(200)]
+        ops = [(k % 16, (3 * k) % 16, k % 5 == 4) for k in range(200)]
         with ref.scalar_reference() as calls:
-            g = _build(ops)
+            g, _, _ = _read_and_compact(ops)
             g.rebalancer.rebalance_window(0, g.ea.n_sections, g.ea.tree.height)
             g.pool.crash()
             DGAP.open(g.pool, g.config)
