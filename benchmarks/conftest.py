@@ -10,6 +10,9 @@ Run with ``pytest benchmarks/ --benchmark-only``; printed tables land
 in the captured output (and thus in ``bench_output.txt``).
 """
 
+import json
+import pathlib
+
 import pytest
 
 from repro.bench.reporting import flush_reports
@@ -25,6 +28,18 @@ def pytest_terminal_summary(terminalreporter):
         for block in reports:
             terminalreporter.write_line("")
             terminalreporter.write_line(block)
+
+
+BASELINES = pathlib.Path(__file__).parent / "baselines"
+
+
+def load_baseline(name: str) -> dict:
+    """The seed-environment baseline ``baselines/<name>.json``.
+
+    One schema: a ``description`` string, a ``min_required_speedup``
+    dict of per-arm floors, and per-arm seed measurements.
+    """
+    return json.loads((BASELINES / f"{name}.json").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -5,31 +5,28 @@ ingest with repeated analysis.  This benchmark replays that loop twice
 on identical streams — with the epoch-versioned view cache and with the
 seed's from-scratch materialization — and pins three facts:
 
-* kernel outputs and modeled seconds are identical (the cache is
-  invisible to results and to the paper's modeled numbers);
+* kernel outputs, modeled seconds and per-step CSR bytes are identical
+  (the cache is invisible to results and to the paper's modeled
+  numbers) — the one twin-loop identity contract;
 * the cached loop is >= 3x faster in wall clock (seed baseline JSON);
 * the materialization counters prove incrementality: zero sections
   rebuilt on an unchanged graph, dirty-sections-only after a localized
   batch (deterministic — no wall clocks involved).
 """
 
-import json
-import pathlib
-
-from conftest import run_once
+from conftest import load_baseline, run_once
 from repro.bench import emit, format_table, paper_vs_measured
-from repro.bench.analysis_loop import run_analysis_loop_pair, verify_view_counters
-from repro.bench.reporting import analysis_loop_table
-
-BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "analysis_loop.json"
+from repro.bench.reporting import loop_table
+from repro.bench.twin_loop import run_analysis_loop_pair, verify_view_counters
 
 
 def test_analysis_loop_cached_speedup(benchmark):
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("analysis_loop")
 
     def run():
-        # run_analysis_loop_pair raises if any kernel digest or modeled
-        # time differs between the arms — identity is asserted, not eyed
+        # run_analysis_loop_pair raises if any kernel digest, modeled
+        # time or per-step CSR differs between the arms — identity is
+        # asserted, not eyed
         return run_analysis_loop_pair(
             seed["dataset"],
             scale=seed["scale"],
@@ -39,15 +36,15 @@ def test_analysis_loop_cached_speedup(benchmark):
         )
 
     pair = run_once(benchmark, run)
-    emit(analysis_loop_table(pair, title="analysis loop (Fig. 7 cadence)"))
+    emit(loop_table(pair, title="analysis loop (Fig. 7 cadence)"))
 
-    need = seed["min_required_speedup"]
+    need = seed["min_required_speedup"]["cached"]
     c = pair.cached.counters
     checks = [
         ("cached analysis wall s (seed env)", seed["cached_analysis_wall_s"],
          pair.cached.analysis_wall_s, True),
         ("uncached analysis wall s (seed env)", seed["uncached_analysis_wall_s"],
-         pair.uncached.analysis_wall_s, True),
+         pair.scratch.analysis_wall_s, True),
         (f"wall speedup cached vs scratch (need >= {need:g}x)",
          seed["wall_speedup_cached"], pair.speedup, pair.speedup >= need),
         ("view builds (one per round)", seed["counters"]["view_builds"],
@@ -62,7 +59,7 @@ def test_analysis_loop_cached_speedup(benchmark):
 
 def test_analysis_loop_counters_prove_incrementality(benchmark):
     """Counter-based (not wall-clock) incrementality proof — CI-stable."""
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("analysis_loop")
     checks = run_once(
         benchmark, lambda: verify_view_counters(seed["dataset"], scale=seed["scale"])
     )

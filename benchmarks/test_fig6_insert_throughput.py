@@ -6,10 +6,7 @@ exercises the batched ingestion pipeline: the same modeled numbers must
 come out of the harness at a fraction of the wall-clock cost.
 """
 
-import json
-import pathlib
-
-from conftest import run_once
+from conftest import load_baseline, run_once
 from repro.bench import (
     emit,
     format_table,
@@ -18,13 +15,9 @@ from repro.bench import (
     ingest_phase_table,
     paper_vs_measured,
 )
-from repro.bench.harness import DEFAULT_BATCH_SIZE, build_system
+from repro.bench.harness import DEFAULT_BATCH_SIZE, SYSTEM_ORDER, build_system
 from repro.bench.paper_data import FIG6_MEPS
 from repro.datasets import PAPER_DATASETS, get_dataset
-
-SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
-
-BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "fig6_insert_batch.json"
 
 
 def test_fig6_insert_throughput(benchmark, scale):
@@ -91,7 +84,7 @@ def test_fig6_dgap_batch_speedup(benchmark, scale):
     since 1024-edge rounds trade some rebalance efficiency for speed on
     reduced-scale graphs (see DESIGN.md §5).
     """
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("fig6_insert_batch")
     spec = get_dataset("orkut")
     edges = spec.generate(scale)
     nv, ne = spec.sizes(scale)
@@ -107,7 +100,7 @@ def test_fig6_dgap_batch_speedup(benchmark, scale):
     wall = {bs: r.counters["timed_wall_s"] for bs, r in results.items()}
     meps = {bs: r.meps(1) for bs, r in results.items()}
     speedup = wall[1] / wall[1024]
-    need = seed["min_required_speedup"]
+    need = seed["min_required_speedup"]["batch_1024_vs_1"]
     dbs = DEFAULT_BATCH_SIZE
 
     emit(ingest_phase_table(results.values()))

@@ -15,10 +15,10 @@ from repro.bench import (
     paper_vs_measured,
     run_kernel,
 )
+from repro.bench.harness import SYSTEM_ORDER
 from repro.bench.paper_data import TABLE4_SECONDS
 from repro.datasets import PAPER_DATASETS
 
-SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
 #: full-scale proxy analysis over all six datasets
 DATASET_ORDER = tuple(PAPER_DATASETS)
 

@@ -16,10 +16,9 @@ from repro.bench import (
     pick_source,
     run_kernel,
 )
+from repro.bench.harness import SYSTEM_ORDER
 from repro.bench.paper_data import TABLE4_SECONDS
 from repro.datasets import PAPER_DATASETS
-
-SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
 
 
 def _normalized(kernel: str, scale: float):

@@ -12,12 +12,10 @@ against the seed baseline.
 """
 
 import contextlib
-import json
-import pathlib
 import time
 
 import numpy as np
-from conftest import run_once
+from conftest import load_baseline, run_once
 
 from repro import DGAP, DGAPConfig
 from repro.bench import emit, format_table
@@ -25,7 +23,6 @@ from repro.bench.profile import build_rebalance_arm
 from repro.datasets import get_dataset
 from repro.testing.reference import scalar_reference
 
-BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "readpath_speed.json"
 TRIALS = 3
 
 
@@ -49,7 +46,7 @@ def _assert_twin_equal(gs: DGAP, gv: DGAP) -> None:
 
 def test_readpath_rebalance_speedup(benchmark, scale):
     """Merge/rebalance-heavy arm: forced whole-array rebalances, timed."""
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("readpath_speed")
 
     def run():
         best = {True: float("inf"), False: float("inf")}
@@ -89,7 +86,7 @@ def test_readpath_rebalance_speedup(benchmark, scale):
 
 def test_readpath_recovery_speedup(benchmark, scale):
     """Crash-recovery replay: edge-array scan + log replay + cursor rebuild."""
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("readpath_speed")
     spec = get_dataset("orkut")
     edges = spec.generate(scale)
     nv, _ = spec.sizes(scale)

@@ -18,19 +18,14 @@ The vertex count is pinned (the speedup is an nv-dependent ratio, not
 a throughput); ``REPRO_SCALE`` scales the op count only.
 """
 
-import json
-import pathlib
-
 import numpy as np
-from conftest import run_once
+from conftest import load_baseline, run_once
 
 from repro import DGAP, DGAPConfig
 from repro.bench import emit
 from repro.bench.reporting import serve_latency_table
 from repro.serve import ServeWorkloadConfig, generate_workload, run_serve_workload
 from repro.sharding import ShardedDGAP
-
-BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "serve_latency.json"
 
 NV = 8000
 PRELOAD_EDGES = 4 * NV
@@ -71,7 +66,7 @@ def _assert_p99_reported(report):
 
 
 def test_serve_twin_unsharded(benchmark, scale):
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("serve_latency")
     graph = _build(DGAP(DGAPConfig(init_vertices=NV, init_edges=EDGE_CAPACITY)))
     report, cfg = run_once(benchmark, lambda: _run_twin(graph, scale))
 
@@ -94,7 +89,7 @@ def test_serve_twin_unsharded(benchmark, scale):
 
 
 def test_serve_twin_sharded(benchmark, scale):
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("serve_latency")
     graph = _build(
         ShardedDGAP(N_SHARDS, DGAPConfig(init_vertices=NV, init_edges=EDGE_CAPACITY))
     )

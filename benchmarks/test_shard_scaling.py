@@ -21,11 +21,8 @@ at every ``REPRO_SCALE`` (unlike wall-clock gates, which need size for
 stability).
 """
 
-import json
-import pathlib
-
 import numpy as np
-from conftest import run_once
+from conftest import load_baseline, run_once
 
 from repro import DGAP, DGAPConfig
 from repro.bench import emit, format_table
@@ -35,7 +32,6 @@ from repro.sharding import ShardedDGAP
 from repro.testing import pool_clocks
 from repro.workloads.vthreads import VirtualThreadScheduler, run_sharded
 
-BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "shard_scaling.json"
 DATASET = "scale"
 N_SHARDS = 4
 BATCH = 512
@@ -73,7 +69,7 @@ def _assert_merged_identity(single, sharded):
 
 
 def test_shard_ingest_speedup(benchmark, scale):
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("shard_scaling")
     edges, nv = _stream(scale)
 
     def run():
@@ -114,7 +110,7 @@ def test_shard_ingest_speedup(benchmark, scale):
 
 
 def test_shard_vthreads_speedup(benchmark, scale):
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("shard_scaling")
     edges, nv = _stream(scale)
     edges = edges[:VTHREAD_EDGE_CAP]
     n_threads = 16
@@ -151,7 +147,7 @@ def test_shard_vthreads_speedup(benchmark, scale):
 
 
 def test_shard_recovery_parallelism(benchmark, scale):
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("shard_scaling")
     edges, nv = _stream(scale)
 
     def one_single():

@@ -10,10 +10,10 @@ while on the billion-edge graphs DGAP wins (paper §4.2.1).
 
 from conftest import run_once
 from repro.bench import emit, format_table, get_built_system, paper_vs_measured
+from repro.bench.harness import SYSTEM_ORDER
 from repro.bench.paper_data import TABLE3_MEPS
 from repro.datasets import PAPER_DATASETS, get_dataset
 
-SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
 THREADS = (1, 8, 16)
 
 

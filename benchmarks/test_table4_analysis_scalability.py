@@ -16,9 +16,11 @@ from repro.bench import (
     pick_source,
     run_kernel,
 )
+from repro.bench.harness import SYSTEM_ORDER
 from repro.bench.paper_data import TABLE4_SECONDS
 
-SYSTEM_ORDER = ("csr", "dgap", "bal", "llama", "graphone", "xpgraph")
+#: Table 4 columns: immutable CSR, then the compared systems
+COLUMNS = ("csr", *SYSTEM_ORDER)
 KERNELS = ("pr", "bfs", "bc", "cc")
 #: the datasets the paper details in Table 4 that we print in full
 DATASET_ORDER = ("orkut", "livejournal", "citpatents", "twitter", "friendster", "protein")
@@ -30,7 +32,7 @@ def test_table4_analysis_scalability(benchmark, scale):
         for ds in DATASET_ORDER:
             src = pick_source(ds, scale)
             views = {"csr": get_static_csr(ds, scale).analysis_view()}
-            for name in SYSTEM_ORDER[1:]:
+            for name in SYSTEM_ORDER:
                 system, _ = get_built_system(name, ds, scale=scale)
                 views[name] = system.analysis_view()
             for kernel in KERNELS:
@@ -45,24 +47,24 @@ def test_table4_analysis_scalability(benchmark, scale):
         rows = []
         for ds in DATASET_ORDER:
             row = [ds]
-            for name in SYSTEM_ORDER:
+            for name in COLUMNS:
                 t1, t16 = table[(kernel, ds, name)]
                 row.append(f"{t1*1e3:.2f}/{t16*1e3:.2f}")
             rows.append(row)
         emit(format_table(
             f"Table 4 ({kernel.upper()}): measured modeled ms, T1/T16",
-            ["dataset"] + list(SYSTEM_ORDER),
+            ["dataset"] + list(COLUMNS),
             rows,
         ))
         prows = []
         for ds in DATASET_ORDER:
             data = TABLE4_SECONDS[kernel].get(ds)
             if data:
-                prows.append([ds] + [f"{data[s][0]}/{data[s][1]}" for s in SYSTEM_ORDER])
+                prows.append([ds] + [f"{data[s][0]}/{data[s][1]}" for s in COLUMNS])
         if prows:
             emit(format_table(
                 f"Table 4 ({kernel.upper()}): paper seconds, T1/T16",
-                ["dataset"] + list(SYSTEM_ORDER),
+                ["dataset"] + list(COLUMNS),
                 prows,
             ))
 
@@ -76,7 +78,7 @@ def test_table4_analysis_scalability(benchmark, scale):
             paper_note, sp, lo < sp <= hi,
         ))
     # CC scales worst for every system (paper §4.3.1)
-    for name in SYSTEM_ORDER:
+    for name in COLUMNS:
         cc_sp = table[("cc", "orkut", name)][0] / table[("cc", "orkut", name)][1]
         pr_sp = table[("pr", "orkut", name)][0] / table[("pr", "orkut", name)][1]
         checks.append((

@@ -16,19 +16,14 @@ with the seed's from-scratch materialization — and pins four facts:
   pattern deterministically — no wall clocks involved.
 """
 
-import json
-import pathlib
-
-from conftest import run_once
+from conftest import load_baseline, run_once
 from repro.bench import emit, format_table, paper_vs_measured
-from repro.bench.reporting import temporal_loop_table
-from repro.bench.temporal_loop import run_temporal_loop_pair
-
-BASELINE_JSON = pathlib.Path(__file__).parent / "baselines" / "temporal_loop.json"
+from repro.bench.reporting import loop_table
+from repro.bench.twin_loop import run_temporal_loop_pair
 
 
 def test_temporal_loop_cached_speedup(benchmark):
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("temporal_loop")
 
     def run():
         # run_temporal_loop_pair raises if any kernel digest, modeled
@@ -44,9 +39,9 @@ def test_temporal_loop_cached_speedup(benchmark):
         )
 
     pair = run_once(benchmark, run)
-    emit(temporal_loop_table(pair, title="temporal loop (windowed stream)"))
+    emit(loop_table(pair, title="temporal loop (windowed stream)"))
 
-    need = seed["min_required_speedup"]
+    need = seed["min_required_speedup"]["cached"]
     c = pair.cached.counters
     m = seed["mutations"]
     checks = [
@@ -79,7 +74,7 @@ def test_temporal_loop_cached_speedup(benchmark):
 def test_temporal_loop_window_zero_and_one(benchmark):
     """Degenerate windows stay identical across arms: W=0 (everything
     expires the step it arrives) and W=1 (only the current step lives)."""
-    seed = json.loads(BASELINE_JSON.read_text())
+    seed = load_baseline("temporal_loop")
 
     def run():
         rows = []

@@ -11,10 +11,10 @@ from .harness import (
     run_kernel,
 )
 from .reporting import (
-    analysis_loop_table,
     emit,
     format_table,
     ingest_phase_table,
+    loop_table,
     paper_vs_measured,
 )
 
@@ -30,6 +30,6 @@ __all__ = [
     "emit",
     "format_table",
     "ingest_phase_table",
-    "analysis_loop_table",
+    "loop_table",
     "paper_vs_measured",
 ]

@@ -19,21 +19,19 @@ from .. import DGAP, DGAPConfig
 from ..datasets import DATASETS, SMALL_DATASETS, get_dataset
 from .harness import (
     DEFAULT_BATCH_SIZE,
+    SYSTEM_ORDER,
     get_built_system,
     get_static_csr,
     pick_source,
     run_kernel,
 )
 from .reporting import (
-    analysis_loop_table,
     crash_sweep_table,
     format_table,
     ingest_phase_table,
+    loop_table,
     profile_table,
-    temporal_loop_table,
 )
-
-SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
 
 
 def _batch_size(args) -> int | None:
@@ -73,29 +71,32 @@ def cmd_analysis(args) -> None:
     ))
 
 
-def cmd_analysis_loop(args) -> None:
-    from .analysis_loop import DEFAULT_KERNELS, run_analysis_loop_pair, verify_view_counters
+def cmd_loop(args) -> None:
+    """``analysis-loop`` (insert-only) and ``temporal`` (windowed) twins."""
+    from .twin_loop import (
+        DEFAULT_KERNELS,
+        run_analysis_loop_pair,
+        run_temporal_loop_pair,
+        verify_view_counters,
+    )
 
-    kernels = tuple(args.kernels.split(",")) if args.kernels else DEFAULT_KERNELS
-    pair = run_analysis_loop_pair(
-        args.dataset,
+    common = dict(
         scale=args.scale,
-        rounds=args.rounds,
-        kernels=kernels,
+        kernels=tuple(args.kernels.split(",")) if args.kernels else DEFAULT_KERNELS,
         sources=args.sources,
         batch_size=_batch_size(args),
     )
-    print(analysis_loop_table(pair))
-    print(format_table(
-        "loop identity (asserted) & speedup",
-        ["metric", "value"],
-        [
-            ("kernel outputs identical (sha256)", "yes"),
-            ("modeled seconds identical", "yes"),
-            ("analysis wall speedup (cached)", f"{pair.speedup:.2f}x"),
-        ],
-    ))
-    if args.check_counters:
+    if args.cmd == "temporal":
+        pair = run_temporal_loop_pair(
+            args.dataset, window=args.window,
+            compact_threshold=args.compact_threshold,
+            max_steps=args.max_steps or None, **common,
+        )
+    else:
+        pair = run_analysis_loop_pair(args.dataset, rounds=args.rounds, **common)
+    name = args.cmd.replace("-loop", "") + " loop"
+    print(loop_table(pair, title=name))
+    if getattr(args, "check_counters", False):
         checks = verify_view_counters(args.dataset, scale=args.scale)
         print(format_table(
             "incrementality counter checks",
@@ -104,41 +105,10 @@ def cmd_analysis_loop(args) -> None:
         ))
         if not all(ok for _, ok, _ in checks):
             raise SystemExit("counter checks failed")
-
-
-def cmd_temporal(args) -> None:
-    from .temporal_loop import DEFAULT_KERNELS, run_temporal_loop_pair
-
-    kernels = tuple(args.kernels.split(",")) if args.kernels else DEFAULT_KERNELS
-    pair = run_temporal_loop_pair(
-        args.dataset,
-        scale=args.scale,
-        window=args.window,
-        compact_threshold=args.compact_threshold,
-        kernels=kernels,
-        sources=args.sources,
-        batch_size=_batch_size(args),
-        max_steps=args.max_steps or None,
-    )
-    print(temporal_loop_table(pair))
-    c = pair.cached
-    print(format_table(
-        "loop identity (asserted) & speedup",
-        ["metric", "value"],
-        [
-            ("kernel outputs identical (sha256)", "yes"),
-            ("modeled seconds identical", "yes"),
-            ("per-step CSR byte-identical", "yes"),
-            ("compaction sweeps", str(c.compactions)),
-            ("tombstone pairs compacted",
-             str(c.counters["tombstone_pairs_compacted"])),
-            ("analysis wall speedup (cached)", f"{pair.speedup:.2f}x"),
-        ],
-    ))
-    if args.min_speedup > 0 and pair.speedup < args.min_speedup:
+    need = getattr(args, "min_speedup", 0.0)
+    if need > 0 and pair.speedup < need:
         raise SystemExit(
-            f"temporal loop speedup {pair.speedup:.2f}x "
-            f"< required {args.min_speedup:g}x"
+            f"{name} speedup {pair.speedup:.2f}x < required {need:g}x"
         )
 
 
@@ -503,14 +473,14 @@ def main(argv=None) -> int:
                    help="ingest sub-batch size (<=0 = one batch per round)")
     p.add_argument("--check-counters", action="store_true",
                    help="also run the deterministic incrementality counter checks")
-    p.set_defaults(fn=cmd_analysis_loop)
+    p.set_defaults(fn=cmd_loop)
 
     p = sub.add_parser(
         "temporal",
         help="windowed stream: ingest→expire→analyze loop, cached vs scratch",
     )
     from ..datasets import TEMPORAL_DATASETS
-    from .temporal_loop import (
+    from .twin_loop import (
         DEFAULT_COMPACT_THRESHOLD,
         DEFAULT_DATASET,
         DEFAULT_WINDOW,
@@ -535,7 +505,7 @@ def main(argv=None) -> int:
                    help="ingest sub-batch size (<=0 = one batch per phase)")
     p.add_argument("--min-speedup", type=float, default=0.0,
                    help="exit nonzero unless the cached arm wins by this factor")
-    p.set_defaults(fn=cmd_temporal)
+    p.set_defaults(fn=cmd_loop)
 
     p = sub.add_parser("ablation", help="Table 5 component ablation")
     p.add_argument("--scale", type=float, default=0.5)

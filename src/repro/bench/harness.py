@@ -31,6 +31,8 @@ from ..datasets import DatasetSpec, env_scale, get_dataset
 #: kernel -> does it take a source vertex (Table 1)
 SOURCE_KERNELS = {"bfs", "bc"}
 
+#: the compared systems, in the paper's table/figure column order
+SYSTEM_ORDER = ("dgap", "bal", "llama", "graphone", "xpgraph")
 
 
 @dataclass
@@ -47,17 +49,6 @@ class InsertResult:
 
     def meps(self, threads: int = 1) -> float:
         return self.profile.meps(threads)
-
-
-@dataclass
-class AnalysisResult:
-    """Modeled kernel times for one system/dataset/kernel triple."""
-
-    system: str
-    dataset: str
-    kernel: str
-    seconds_by_threads: Dict[int, float]
-    wall_s: float
 
 
 def build_system(
@@ -189,7 +180,7 @@ def pick_source(dataset: str, scale: Optional[float] = None) -> int:
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "InsertResult",
-    "AnalysisResult",
+    "SYSTEM_ORDER",
     "build_system",
     "ingest",
     "run_kernel",

@@ -120,53 +120,20 @@ def ingest_phase_table(results: Iterable) -> str:
     )
 
 
-def analysis_loop_table(pair, title: str = "analysis loop") -> str:
-    """Summarize a :class:`~repro.bench.analysis_loop.LoopPair`.
-
-    Per-round analysis wall clock for both arms (outputs and modeled
-    times are asserted identical before this table can exist), then the
-    cache counters that prove incrementality.
-    """
-    cached, uncached = pair.cached, pair.uncached
-    rows = [
-        (r, cw, uw, uw / max(cw, 1e-12))
-        for r, (cw, uw) in enumerate(zip(cached.round_wall(), uncached.round_wall()))
-    ]
-    rows.append(("total", cached.analysis_wall_s, uncached.analysis_wall_s, pair.speedup))
-    head = format_table(
-        f"{title} — {cached.dataset} (scale {cached.scale:g}, "
-        f"{cached.rounds} rounds, kernels {','.join(cached.kernels)})",
-        ["round", "cached wall (s)", "uncached wall (s)", "speedup"],
-        rows,
-        floatfmt="{:.4f}",
-    )
-    counters = format_table(
-        "view-cache counters (cached arm)",
-        ["counter", "value"],
-        sorted(cached.counters.items()),
-    )
-    return head + "\n\n" + counters
-
-
-def temporal_loop_table(pair, title: str = "temporal loop") -> str:
-    """Summarize a :class:`~repro.bench.temporal_loop.TemporalLoopPair`.
+def loop_table(pair, title: str = "twin loop") -> str:
+    """Summarize a :class:`~repro.bench.twin_loop.LoopPair`.
 
     Per-step mutation volume and analysis wall clock for both arms
-    (kernel outputs, modeled times and per-step CSR bytes are asserted
-    identical before this table can exist), then the window and
-    view-cache counters.
+    (kernel outputs, modeled times, per-step CSR bytes and mutation
+    volumes are asserted identical before this table can exist), then
+    the identity contract with the speedup, then the cached arm's
+    counters.
     """
     cached, scratch = pair.cached, pair.scratch
-    cw = [0.0] * len(cached.steps)
-    sw = [0.0] * len(scratch.steps)
-    for r in cached.records:
-        cw[r.round] += r.wall_s
-    for r in scratch.records:
-        sw[r.round] += r.wall_s
     rows = [
         (s.step, s.added, s.churned, s.expired, "yes" if s.compacted else "",
          c, u, u / max(c, 1e-12))
-        for s, c, u in zip(cached.steps, cw, sw)
+        for s, c, u in zip(cached.steps, cached.step_wall(), scratch.step_wall())
     ]
     rows.append((
         "total",
@@ -176,21 +143,35 @@ def temporal_loop_table(pair, title: str = "temporal loop") -> str:
         str(cached.compactions),
         cached.analysis_wall_s, scratch.analysis_wall_s, pair.speedup,
     ))
+    window = (
+        "" if cached.window is None
+        else f", window {cached.window}, compact at {cached.compact_threshold:g}"
+    )
     head = format_table(
-        f"{title} — {cached.dataset} (scale {cached.scale:g}, window "
-        f"{cached.window}, compact at {cached.compact_threshold:g}, "
-        f"kernels {','.join(cached.kernels)})",
+        f"{title} — {cached.dataset} (scale {cached.scale:g}, "
+        f"{len(cached.steps)} steps{window}, kernels {','.join(cached.kernels)})",
         ["step", "added", "churned", "expired", "compact",
          "cached wall (s)", "scratch wall (s)", "speedup"],
         rows,
         floatfmt="{:.4f}",
     )
+    identity = format_table(
+        "loop identity (asserted) & speedup",
+        ["metric", "value"],
+        [
+            ("kernel outputs identical (sha256)", "yes"),
+            ("modeled seconds identical", "yes"),
+            ("per-step CSR byte-identical", "yes"),
+            ("per-step mutation volumes identical", "yes"),
+            ("analysis wall speedup (cached)", f"{pair.speedup:.2f}x"),
+        ],
+    )
     counters = format_table(
-        "window + view-cache counters (cached arm)",
+        "counters (cached arm)",
         ["counter", "value"],
         sorted(cached.counters.items()),
     )
-    return head + "\n\n" + counters
+    return "\n\n".join((head, identity, counters))
 
 
 def crash_sweep_table(report, title: str = "crash sweep") -> str:
@@ -434,7 +415,7 @@ __all__ = [
     "format_table",
     "paper_vs_measured",
     "ingest_phase_table",
-    "analysis_loop_table",
+    "loop_table",
     "crash_sweep_table",
     "serve_latency_table",
     "soak_table",
